@@ -16,9 +16,32 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Mapping
 
 from .metrics import ITERATION_BUCKETS, get_metrics
 from .trace import get_tracer
+
+
+def record_fallbacks(span, path: str, reasons: Mapping[str, int]) -> None:
+    """Count and span-tag rows a fast path handed to the scalar path.
+
+    ``reasons`` maps each named reason (``disconnected-base``,
+    ``base-diverged``, ``build-error``, ``islanded``, ``fd-stalled``,
+    ``polish-diverged``) to its row count.  Every row lands in
+    ``gridmind_fastpath_fallbacks_total{path,reason}``; a recording
+    ``span`` also accumulates them under its ``fallbacks`` tag.
+    """
+    counter = get_metrics().counter(
+        "gridmind_fastpath_fallbacks_total",
+        "Rows a fast path handed to the scalar path, by reason",
+    )
+    for reason, n in reasons.items():
+        if not n:
+            continue
+        counter.inc(n, path=path, reason=reason)
+        if span.span_id:  # the disabled tracer's shared span stays clean
+            tags = span.tags.setdefault("fallbacks", {})
+            tags[reason] = tags.get(reason, 0) + n
 
 
 def instrument_solver(solver: str):

@@ -17,36 +17,13 @@ from ..grid.ybus import AdmittanceMatrices, build_admittances
 from ..grid.units import rad_to_deg
 
 
-@dataclass
-class PowerFlowResult:
-    """Outcome of one AC (or DC) power-flow solve.
+class FlowSummary:
+    """Voltage and loading read-outs shared by every AC result type.
 
-    All array fields are per the compiled snapshot's ordering; powers are
-    in physical units (MW / MVAr / MVA) for direct consumption by agents.
+    Subclasses carry ``vm`` (per-bus magnitudes, p.u.), ``loading_percent``
+    and the ``branch_ids`` its rows map back to; the agents, the N-1
+    engine and the study records reduce any of them the same way.
     """
-
-    converged: bool
-    iterations: int
-    method: str
-    max_mismatch_pu: float
-    vm: np.ndarray  # (n_bus,) p.u.
-    va_deg: np.ndarray  # (n_bus,)
-    p_from_mw: np.ndarray  # (n_branch,)
-    q_from_mvar: np.ndarray
-    p_to_mw: np.ndarray
-    q_to_mvar: np.ndarray
-    s_from_mva: np.ndarray
-    s_to_mva: np.ndarray
-    loading_percent: np.ndarray  # (n_branch,) vs rate_a (0 where unrated)
-    branch_ids: np.ndarray  # maps rows back to Network.branches positions
-    gen_p_mw: np.ndarray  # (n_gen,) allocated outputs
-    gen_q_mvar: np.ndarray
-    gen_ids: np.ndarray
-    losses_mw: float
-    losses_mvar: float
-    runtime_s: float = 0.0
-    message: str = ""
-    extras: dict = field(default_factory=dict)
 
     @property
     def min_voltage_pu(self) -> float:
@@ -76,6 +53,38 @@ class PowerFlowResult:
             (i, float(v)) for i, v in enumerate(self.vm) if v < vmin or v > vmax
         ]
         return sorted(out, key=lambda p: min(abs(p[1] - vmin), abs(p[1] - vmax)), reverse=True)
+
+
+@dataclass
+class PowerFlowResult(FlowSummary):
+    """Outcome of one AC (or DC) power-flow solve.
+
+    All array fields are per the compiled snapshot's ordering; powers are
+    in physical units (MW / MVAr / MVA) for direct consumption by agents.
+    """
+
+    converged: bool
+    iterations: int
+    method: str
+    max_mismatch_pu: float
+    vm: np.ndarray  # (n_bus,) p.u.
+    va_deg: np.ndarray  # (n_bus,)
+    p_from_mw: np.ndarray  # (n_branch,)
+    q_from_mvar: np.ndarray
+    p_to_mw: np.ndarray
+    q_to_mvar: np.ndarray
+    s_from_mva: np.ndarray
+    s_to_mva: np.ndarray
+    loading_percent: np.ndarray  # (n_branch,) vs rate_a (0 where unrated)
+    branch_ids: np.ndarray  # maps rows back to Network.branches positions
+    gen_p_mw: np.ndarray  # (n_gen,) allocated outputs
+    gen_q_mvar: np.ndarray
+    gen_ids: np.ndarray
+    losses_mw: float
+    losses_mvar: float
+    runtime_s: float = 0.0
+    message: str = ""
+    extras: dict = field(default_factory=dict)
 
 
 def finalize_solution(

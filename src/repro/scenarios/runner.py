@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -57,10 +58,11 @@ from ..instrumentation.metrics import (
     set_metrics,
     state_delta,
 )
+from ..instrumentation.probes import record_fallbacks
 from ..instrumentation.trace import current_trace_context, get_tracer, worker_trace
 from ..contingency.cache import ContingencyCache
 from ..contingency.lodf import SensitivityFactors, compute_factors
-from ..contingency.nminus1 import NMinus1Report, analyze_single_outage
+from ..contingency.nminus1 import NMinus1Report, run_n_minus_1
 from ..contingency.ranking import rank_critical_elements
 from ..contingency.screening import screen_dc, screen_dc_many
 from ..grid import graph as gridgraph
@@ -74,7 +76,7 @@ from .aggregate import (
     StudyAggregate,
     aggregate_study,
 )
-from .spec import Scenario, ScenarioError
+from .spec import BranchOutage, Scenario, ScenarioError
 from .stream import as_stream, stream_length
 
 ANALYSES = ("powerflow", "dc", "dcopf", "acopf", "screening", "scopf")
@@ -88,6 +90,8 @@ DEFAULT_STREAM_CHUNK = 32
 
 #: Default cap on the worst-scenario heap a streamed study retains.
 DEFAULT_WORST_K = 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -316,6 +320,45 @@ class StudyConfig:
         return SliceSpec(by=tuple(self.slice_by), max_values=self.slice_max_values)
 
 
+def _branch_outages(scenario: Scenario) -> frozenset[int]:
+    """Branch ids of a pure branch-outage scenario (empty otherwise)."""
+    perts = scenario.perturbations
+    if perts and all(isinstance(p, BranchOutage) for p in perts):
+        return frozenset(p.branch_id for p in perts)
+    return frozenset()
+
+
+def _replay(
+    scenarios: list[Scenario], replay: Callable[[Scenario], object]
+) -> tuple[list[ScenarioResult | None], list[int], list]:
+    """Run each scenario's vectorized replay; perturbation errors become
+    the scalar path's error records.
+
+    Returns ``(results, live, values)``: ``results`` holds the error
+    records (``None`` elsewhere), ``live`` the indices that replayed and
+    ``values`` their replay outputs, in order.
+    """
+    results: list[ScenarioResult | None] = [None] * len(scenarios)
+    live: list[int] = []
+    values: list = []
+    for i, scenario in enumerate(scenarios):
+        try:
+            values.append(replay(scenario))
+            live.append(i)
+        except ScenarioError as exc:
+            results[i] = ScenarioResult(
+                name=scenario.name, tags=dict(scenario.tags),
+                converged=False, error=str(exc),
+            )
+        except Exception as exc:
+            results[i] = ScenarioResult(
+                name=scenario.name, tags=dict(scenario.tags),
+                converged=False,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+    return results, live, values
+
+
 class _WorkerState:
     """One worker's long-lived state: base network plus reusable caches."""
 
@@ -406,89 +449,103 @@ class _WorkerState:
         batched kernels in one multi-RHS pass (bit-identical to the
         scalar path); for ``analysis="powerflow"`` with ``ac_mode="warm"``
         the injection-only group routes through the warm-start AC kernel
-        (parity contract, not bit-identity — Newton iterates are
-        path-dependent).  Topology-changing scenarios, rows the warm path
-        cannot converge, and every scenario of the other nonlinear
+        and the pure branch-outage group through the same kernel's
+        compensated outage solve (parity contract, not bit-identity —
+        the iterates are path-dependent).  Other topology changers, rows
+        a fast path hands back, and every scenario of the other nonlinear
         analyses take the scalar per-scenario loop.  Chunk results come
         back in submission order either way.
         """
         cfg = self.config
-        fast_group = None
-        min_group = 2
+        groups: list[tuple[list[int], Callable]] = []
         if (
             cfg.batch_kernels
             and cfg.analysis in ("dc", "screening")
             and len(scenarios) >= 2
         ):
-            fast_group = self._run_chunk_batched
-        elif cfg.analysis == "powerflow" and cfg.ac_mode == "warm":
-            # The warm path solves rows independently (the screen, the
-            # multi-RHS corrector sweeps, and the Newton polish never mix
-            # rows), so it engages even for singleton groups: a scenario's
-            # iterate path then depends only on the base case and its own
-            # injection, never on chunking — which is what keeps serial,
-            # pooled, and executor dispatch producing identical records.
-            fast_group = self._run_chunk_ac
-            min_group = 1
-        if fast_group is not None:
             batch_idx = [i for i, s in enumerate(scenarios) if s.injection_only]
-            if len(batch_idx) >= min_group:
-                batched = fast_group([scenarios[i] for i in batch_idx])
-                if batched is not None:
-                    out: list[ScenarioResult | None] = [None] * len(scenarios)
-                    for i, r in zip(batch_idx, batched):
-                        out[i] = r
-                    for i, s in enumerate(scenarios):
-                        if out[i] is None:
-                            out[i] = self.run_scenario(s)
-                    return out  # type: ignore[return-value]
-        return [self.run_scenario(s) for s in scenarios]
+            if len(batch_idx) >= 2:
+                groups.append((batch_idx, self._run_chunk_batched))
+        elif cfg.analysis == "powerflow" and cfg.ac_mode == "warm":
+            # The warm paths solve rows independently (the screen, the
+            # multi-RHS sweeps, and the Newton polish never mix rows), so
+            # they engage even for singleton groups: a scenario's iterate
+            # path then depends only on the base case and its own
+            # injection or outage set, never on chunking — which is what
+            # keeps serial, pooled, and executor dispatch producing
+            # identical records.
+            groups.append(
+                ([i for i, s in enumerate(scenarios) if s.injection_only],
+                 self._run_chunk_ac)
+            )
+            groups.append(
+                ([i for i, s in enumerate(scenarios) if _branch_outages(s)],
+                 self._run_chunk_outages)
+            )
+        out: list[ScenarioResult | None] = [None] * len(scenarios)
+        for idx, solve_group in groups:
+            if idx:
+                solved = solve_group([scenarios[i] for i in idx])
+                for i, r in zip(idx, solved or ()):
+                    out[i] = r
+        return [
+            r if r is not None else self.run_scenario(s)
+            for s, r in zip(scenarios, out)
+        ]
+
+    def _base_kernel(self, build: Callable, span, path: str, n_rows: int):
+        """``build(base)`` for a group solve, or ``None`` after counting
+        why the whole group takes the scalar loop instead.
+
+        A disconnected base needs each realized network for the scalar
+        path's per-scenario stranded-MW message; an unconverged base has
+        no voltage to warm-start from; a build error is a kernel bug and
+        is logged with its traceback.
+        """
+        reason = None
+        kernel = None
+        if not gridgraph.is_connected(self.base):
+            reason = "disconnected-base"
+        else:
+            try:
+                kernel = build(self.base)
+                if isinstance(kernel, AcKernel) and not kernel.usable:
+                    reason = "base-diverged"
+            except Exception:
+                log.exception(
+                    "%s kernel build failed; %d rows take the scalar loop",
+                    path, n_rows,
+                )
+                reason = "build-error"
+        if reason is not None:
+            record_fallbacks(span, path, {reason: n_rows})
+            return None
+        return kernel
 
     def _run_chunk_batched(
         self, scenarios: list[Scenario]
     ) -> list[ScenarioResult] | None:
         """Evaluate an injection-only group through the batched kernels.
 
-        Returns ``None`` to signal "degrade to the scalar loop" — when the
-        base case itself is disconnected (the scalar path's per-scenario
-        stranded-MW message needs each realized network) or the kernel
-        cannot be built.  Per-scenario perturbation errors do *not* sink
-        the group: the offending scenario gets the same error record the
-        scalar path would produce and the rest still batch.
+        Returns ``None`` to signal "degrade to the scalar loop" when the
+        base kernel is unavailable (see :meth:`_base_kernel`).
+        Per-scenario perturbation errors do *not* sink the group: the
+        offending scenario gets the same error record the scalar path
+        would produce and the rest still batch.
         """
         cfg = self.config
         base = self.base
-        if not gridgraph.is_connected(base):
-            return None
-        try:
-            kernel = self.kernel_for(base)
-        except Exception:
-            return None
-
-        tick = time.perf_counter()
-        results: list[ScenarioResult | None] = [None] * len(scenarios)
-        vectors: list[np.ndarray] = []
-        live: list[int] = []
-        for i, scenario in enumerate(scenarios):
-            try:
-                vectors.append(scenario.injection_vector(base))
-                live.append(i)
-            except ScenarioError as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False, error=str(exc),
-                )
-            except Exception as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
         metrics = get_metrics()
         with get_tracer().span(
-            "chunk.batch", analysis=cfg.analysis, n_scenarios=len(live)
-        ):
+            "chunk.batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
+        ) as span:
+            kernel = self._base_kernel(self.kernel_for, span, "batch", len(scenarios))
+            if kernel is None:
+                return None
+            tick = time.perf_counter()
+            results, live, vectors = _replay(
+                scenarios, lambda s: s.injection_vector(base)
+            )
             if live:
                 p_inj = np.vstack(vectors)
                 if cfg.analysis == "dc":
@@ -553,9 +610,8 @@ class _WorkerState:
         """Evaluate an injection-only AC group through the warm kernel.
 
         Returns ``None`` to signal "degrade the whole group to the scalar
-        loop" — when the base case is disconnected, the kernel cannot be
-        built, or the base Newton solve itself does not converge (no
-        voltage to warm-start from).  Individual rows degrade too: a
+        loop" when the base kernel is unavailable (see
+        :meth:`_base_kernel`).  Individual rows degrade too: a
         perturbation error gets the same error record the scalar path
         would produce, and a row whose warm Newton polish fails comes
         back as ``None`` so the caller reruns it through the exact cold
@@ -564,45 +620,19 @@ class _WorkerState:
         """
         cfg = self.config
         base = self.base
-        if not gridgraph.is_connected(base):
-            return None
-        try:
-            kernel = self.ac_kernel_for(base)
-            if not kernel.usable:
-                return None
-        except Exception:
-            return None
-
-        tick = time.perf_counter()
-        results: list[ScenarioResult | None] = [None] * len(scenarios)
-        rows: list[np.ndarray] = []
-        loads: list[tuple[np.ndarray, np.ndarray]] = []
-        live: list[int] = []
-        for i, scenario in enumerate(scenarios):
-            try:
-                sbus, pd, qd = scenario.ac_injection(base)
-                rows.append(sbus)
-                loads.append((pd, qd))
-                live.append(i)
-            except ScenarioError as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False, error=str(exc),
-                )
-            except Exception as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
         metrics = get_metrics()
         with get_tracer().span(
-            "chunk.ac_batch", analysis=cfg.analysis, n_scenarios=len(live)
-        ):
+            "chunk.ac_batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
+        ) as span:
+            kernel = self._base_kernel(self.ac_kernel_for, span, "ac", len(scenarios))
+            if kernel is None:
+                return None
+            tick = time.perf_counter()
+            results, live, injections = _replay(scenarios, lambda s: s.ac_injection(base))
             if live:
                 sol = kernel.solve_chunk(
-                    np.vstack(rows), fd_sweeps=cfg.ac_fd_sweeps
+                    np.vstack([sbus for sbus, _pd, _qd in injections]),
+                    fd_sweeps=cfg.ac_fd_sweeps,
                 )
                 per_scn = (time.perf_counter() - tick) / len(live)
                 iters_hist = metrics.histogram(
@@ -612,10 +642,12 @@ class _WorkerState:
                 )
                 n_warm = 0
                 n_skipped = 0
+                stalled = 0
                 for j, i in enumerate(live):
                     if not sol.converged[j]:
+                        stalled += 1
                         continue  # leave None: caller runs the cold ladder
-                    pd, qd = loads[j]
+                    _sbus, pd, qd = injections[j]
                     res = kernel.finalize_row(
                         sol.v[j], pd, qd,
                         converged=True,
@@ -639,10 +671,65 @@ class _WorkerState:
                         "gridmind_ac_skipped_converged_total",
                         "AC ensemble rows already converged at the warm start",
                     ).inc(n_skipped)
+                record_fallbacks(span, "ac", {"polish-diverged": stalled})
 
         # Metric parity with the scalar loop for the rows handled here
         # (error records and warm-converged rows); fallback rows bill
         # themselves inside run_scenario.
+        counter = metrics.counter(
+            "gridmind_scenarios_total", "Scenario evaluations by outcome"
+        )
+        for r in results:
+            if r is not None:
+                counter.inc(analysis=cfg.analysis, converged=r.converged)
+        return results
+
+    def _run_chunk_outages(
+        self, scenarios: list[Scenario]
+    ) -> list[ScenarioResult | None] | None:
+        """Evaluate a branch-outage AC group through the base kernel.
+
+        Every row is a set of outaged base branches at base injections,
+        solved stacked by :meth:`AcKernel.solve_outages` (compensated
+        warm fast-decoupled sweeps, no Ybus rebuild or refactorization).
+        Rows it hands back (islanded, stalled) come back ``None`` and the
+        caller runs them through :meth:`run_scenario`, so their records
+        are the scalar records byte for byte; so do rows naming a branch
+        the base does not have in service.  Returns ``None`` when the
+        base kernel is unavailable (see :meth:`_base_kernel`).
+        """
+        cfg = self.config
+        metrics = get_metrics()
+        results: list[ScenarioResult | None] = [None] * len(scenarios)
+        with get_tracer().span(
+            "chunk.ac_batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
+        ) as span:
+            kernel = self._base_kernel(
+                self.ac_kernel_for, span, "outage", len(scenarios)
+            )
+            if kernel is None:
+                return None
+            tick = time.perf_counter()
+            in_service = set(kernel.arr.branch_ids.tolist())
+            sets = [_branch_outages(s) for s in scenarios]
+            live = [i for i, ids in enumerate(sets) if ids <= in_service]
+            if live:
+                sol = kernel.solve_outages([sets[i] for i in live])
+                per_scn = (time.perf_counter() - tick) / len(live)
+                for i, row in zip(live, sol.rows):
+                    if row is not None:
+                        results[i] = self._pf_record(scenarios[i], row)
+                        results[i].solve_time_s = per_scn
+                solved = sum(r is not None for r in results)
+                if solved:
+                    metrics.counter(
+                        "gridmind_ac_outage_solves_total",
+                        "Branch-outage rows solved through the compensated AC kernel",
+                    ).inc(solved, path="study")
+                record_fallbacks(
+                    span, "outage", Counter(r for r in sol.reasons if r is not None)
+                )
+
         counter = metrics.counter(
             "gridmind_scenarios_total", "Scenario evaluations by outcome"
         )
@@ -833,21 +920,16 @@ class _WorkerState:
         # One content hash for the whole sweep (lookup + put), then AC
         # verification only for the outages this worker has not seen.
         cached, missing = self.ca_cache.lookup_sweep(net, candidates)
-        bridges = gridgraph.bridge_branches(net) if missing else set()
-        v_base = base.extras.get("v_complex")
-        fresh = [
-            analyze_single_outage(
+        fresh = []
+        if missing:
+            fresh = run_n_minus_1(
                 net,
-                bid,
-                bridges=bridges,
-                v_base=v_base,
+                branch_ids=missing,
+                base_result=base,
                 vmin=cfg.vmin,
                 vmax=cfg.vmax,
                 overload_threshold=cfg.overload_threshold,
-            )
-            for bid in missing
-        ]
-        if fresh:
+            ).outcomes
             if self.ca_cache.size >= self.CA_CACHE_MAX_ENTRIES:
                 self.ca_cache.clear()
             self.ca_cache.put_many(net, fresh)

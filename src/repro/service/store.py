@@ -93,12 +93,15 @@ def spec_hash(config: StudyConfig, scenarios: list[Scenario]) -> str:
     payload — and keys minted before slicing existed keep matching.
     ``batch_kernels`` is excluded for the same reason: the batched and
     scalar paths produce bit-identical records, so toggling the fast
-    path must not mint a second store entry.  ``ac_mode``/``ac_fd_sweeps``
-    are excluded likewise — the warm AC path's parity contract makes the
-    two modes the same study.  (``ac_budget`` stays hashed: it changes
-    which outages get AC-verified, i.e. the results themselves.)
+    path must not mint a second store entry.  ``ac_mode`` and
+    ``ac_fd_sweeps`` *are* hashed: warm and cold AC records agree only
+    under the parity contract (aggregates within 1e-6, not bit for bit),
+    so sharing one key would make its ``results_digest`` depend on
+    which mode ran last and ``verify``/compare report spurious diffs.
+    (``ac_budget`` is hashed too: it changes which outages get
+    AC-verified, i.e. the results themselves.)
     """
-    excluded = ("batch_kernels", "ac_mode", "ac_fd_sweeps")
+    excluded = ("batch_kernels",)
     canon = {
         "config": {
             k: v

@@ -14,7 +14,8 @@ cases, chunk sizes, and dispatch modes:
 What *is* exact: warm-path records are dispatch- and chunk-size-
 invariant (rows never mix), error records are byte-identical on both
 paths (failures degrade to the very same scalar ladder), and the
-``ac_mode`` / ``ac_fd_sweeps`` knobs never enter the store spec hash.
+``ac_mode`` / ``ac_fd_sweeps`` knobs enter the store spec hash (the two
+modes agree only to parity, so they never share a results digest).
 """
 
 import dataclasses
@@ -378,7 +379,7 @@ class TestMetricsAndHash:
             fresh_metrics.counter("gridmind_scenarios_total").total() == 4.0
         )
 
-    def test_spec_hash_ignores_ac_knobs_but_not_budget(self, case14):
+    def test_spec_hash_separates_ac_modes_and_budget(self, case14):
         from repro.service.store import spec_hash
 
         scns = list(monte_carlo_ensemble(n=2, sigma=0.05, seed=1))
@@ -389,7 +390,13 @@ class TestMetricsAndHash:
         fd2 = spec_hash(
             StudyConfig(analysis="powerflow", ac_fd_sweeps=2), scns
         )
-        assert warm == cold == fd2
+        # Warm and cold records agree only to parity, so each mode (and
+        # sweep budget) keys its own store entry and results digest.
+        assert len({warm, cold, fd2}) == 3
+        # The batched DC path is bit-identical, so its toggle stays out.
+        assert spec_hash(
+            StudyConfig(analysis="powerflow", batch_kernels=False), scns
+        ) == warm
         # ac_budget changes which scenarios get full AC — it must hash.
         a = spec_hash(StudyConfig(analysis="screening", ac_budget=3), scns)
         b = spec_hash(StudyConfig(analysis="screening", ac_budget=4), scns)
