@@ -44,6 +44,9 @@ from .outcomes import ContingencyOutcome
 
 log = logging.getLogger(__name__)
 
+#: Outages per compensated-kernel call in a sweep.
+_KERNEL_BLOCK = 32
+
 
 @dataclass
 class NMinus1Report:
@@ -91,7 +94,8 @@ def run_n_minus_1(
 
     ``branch_ids`` restricts the sweep (used by DC screening); by default
     every in-service branch is outaged once.  The input network is left
-    untouched — all work happens on copies.  ``kernel`` accepts an
+    untouched: the kernel only reads it, and rows handed to the scalar
+    path run on a private copy.  ``kernel`` accepts an
     :class:`~repro.powerflow.ac_batch.AcKernel` for the same network:
     its cached base solve then seeds the sweep (no fresh base Newton run)
     and its factorizations serve every outage, which is what makes
@@ -99,23 +103,21 @@ def run_n_minus_1(
     kernel is built per sweep (per worker) seeded from ``base_result``.
     """
     start = time.perf_counter()
-    work = net.copy()
-
     if base_result is None and kernel is not None:
         base_result = kernel.base_result()
-    base = base_result or solve_newton(work)
+    base = base_result or solve_newton(net)
     if not base.converged:
         raise ValueError(
             "base case power flow does not converge; fix the operating "
             "point before running contingency analysis"
         )
 
-    candidates = branch_ids if branch_ids is not None else work.in_service_branch_ids()
-    bridges = gridgraph.bridge_branches(work)
+    candidates = branch_ids if branch_ids is not None else net.in_service_branch_ids()
+    bridges = gridgraph.bridge_branches(net)
 
     if n_jobs <= 1 or len(candidates) < 8:
         outcomes = _sweep_chunk(
-            work, candidates, bridges, base, vmin, vmax, overload_threshold, kernel
+            net, candidates, bridges, base, vmin, vmax, overload_threshold, kernel
         )
         jobs = 1
     else:
@@ -125,7 +127,7 @@ def run_n_minus_1(
             parts = pool.map(
                 _sweep_chunk_star,
                 [
-                    (work, chunk, bridges, base, vmin, vmax, overload_threshold)
+                    (net, chunk, bridges, base, vmin, vmax, overload_threshold)
                     for chunk in chunks
                     if chunk
                 ],
@@ -165,56 +167,63 @@ def _sweep_chunk(
         b for b in branch_ids
         if 0 <= b < len(net.branches) and net.branches[b].in_service
     ]
-    rows: dict[int, FlowSummary] = {}
-    tick = time.perf_counter()
+    arr = net.compile()
+    rate_mw = dict(zip(arr.branch_ids.tolist(), (arr.rate_a * arr.base_mva).tolist()))
+    solved: dict[int, ContingencyOutcome] = {}
     with get_tracer().span(
         "chunk.ac_batch", analysis="n-1", n_scenarios=len(fast)
     ) as span:
+        reasons: Counter = Counter()
+        done = 0
         try:
             kernel = kernel or AcKernel(net, base=base)
-            sol = kernel.solve_outages([(b,) for b in fast])
+            # Rows never mix, so blocking changes no result; reducing each
+            # block to outcomes before the next bounds the stacked arrays
+            # alive at once, and with them peak memory.
+            for lo in range(0, len(fast), _KERNEL_BLOCK):
+                block = fast[lo : lo + _KERNEL_BLOCK]
+                tick = time.perf_counter()
+                sol = kernel.solve_outages([(b,) for b in block])
+                per_row = (time.perf_counter() - tick) / len(block)
+                reasons.update(r for r in sol.reasons if r is not None)
+                for bid, row in zip(block, sol.rows):
+                    if row is not None:
+                        solved[bid] = _converged_outcome(
+                            net, bid, row, rate_mw, vmin, vmax,
+                            overload_threshold, per_row,
+                        )
+                done += len(block)
         except Exception:
             log.exception(
                 "N-1 outage kernel failed; %d outages take the scalar path",
-                len(fast),
+                len(fast) - done,
             )
-            reasons = Counter({"build-error": len(fast)})
-        else:
-            rows = {b: r for b, r in zip(fast, sol.rows) if r is not None}
-            reasons = Counter(r for r in sol.reasons if r is not None)
+            reasons["build-error"] = len(fast) - done
         record_fallbacks(span, "n-1", reasons)
-    if rows:
+    if solved:
         get_metrics().counter(
             "gridmind_ac_outage_solves_total",
             "Branch-outage rows solved through the compensated AC kernel",
-        ).inc(len(rows), path="n-1")
-    per_row = (time.perf_counter() - tick) / max(len(fast), 1)
+        ).inc(len(solved), path="n-1")
 
+    # The scalar path flips branch status transiently: give it a private
+    # copy, so the caller's network (and its version) stays untouched.
+    work = net.copy() if len(solved) < len(branch_ids) else net
     v_base = base.extras.get("v_complex")
-    arr = net.compile()
-    rate_mw = dict(zip(arr.branch_ids.tolist(), (arr.rate_a * arr.base_mva).tolist()))
-    outcomes = []
-    for bid in branch_ids:
-        res = rows.get(bid)
-        if res is None:
-            outcomes.append(
-                analyze_single_outage(
-                    net,
-                    bid,
-                    bridges=bridges,
-                    v_base=v_base,
-                    vmin=vmin,
-                    vmax=vmax,
-                    overload_threshold=overload_threshold,
-                )
-            )
-        else:
-            outcomes.append(
-                _converged_outcome(
-                    net, bid, res, rate_mw, vmin, vmax, overload_threshold, per_row
-                )
-            )
-    return outcomes
+    return [
+        solved[bid]
+        if bid in solved
+        else analyze_single_outage(
+            work,
+            bid,
+            bridges=bridges,
+            v_base=v_base,
+            vmin=vmin,
+            vmax=vmax,
+            overload_threshold=overload_threshold,
+        )
+        for bid in branch_ids
+    ]
 
 
 def analyze_single_outage(

@@ -59,6 +59,7 @@ from .solution import (
     FlowSummary,
     PowerFlowResult,
     finalize_solution,
+    loading_percent,
     make_admittances,
 )
 
@@ -66,10 +67,10 @@ from .solution import (
 ISLANDED = "islanded"
 FD_STALLED = "fd-stalled"
 
-#: Smallest singular value of a Woodbury capacitance matrix below which
-#: the outage set is taken to split the grid (the updated B'/B'' is
-#: singular).  A genuine split reads ~1e-13; the weakest surviving
-#: corridor on the shipped cases reads far above this.
+#: Determinant magnitude of a Woodbury capacitance matrix (entries of
+#: order one) below which the outage set is taken to split the grid: the
+#: updated B'/B'' is singular.  A genuine split reads ~1e-13; the weakest
+#: surviving corridor on the shipped cases reads far above this.
 SINGULAR_CAPACITANCE = 1e-9
 
 #: Compensated fast-decoupled sweeps an outage row may take before it is
@@ -106,9 +107,9 @@ class AcChunkSolution:
 class OutageRow(FlowSummary):
     """Post-outage state of one converged compensated-kernel row.
 
-    Arrays follow the post-outage compiled snapshot: ``loading_percent``
-    and ``branch_ids`` list the surviving branches only, in base order,
-    exactly as a fresh compile of the outaged network would.
+    ``loading_percent`` spans every branch of the base topology
+    (``branch_ids``); the outaged branches read ``-inf``, so they never
+    count as loaded.  Arrays are views into the solved block.
     """
 
     v: np.ndarray  # (n_bus,) complex
@@ -117,8 +118,6 @@ class OutageRow(FlowSummary):
     branch_ids: np.ndarray
     losses_mw: float
     iterations: int  # fast-decoupled sweeps
-    max_mismatch_pu: float
-    converged: bool = True
     method: str = "fdpf-xb"
 
     @property
@@ -287,16 +286,10 @@ class AcKernel:
         polish does not converge come back ``converged=False`` — the
         caller degrades those to its scalar recovery ladder.
         """
-        base = self.base_result()
-        if not base.converged:
-            raise RuntimeError(
-                "AC kernel base case did not converge; warm path unusable"
-            )
+        v0 = self._warm_start()
         sbus = np.atleast_2d(np.asarray(sbus, dtype=complex))
         n = sbus.shape[0]
         ybus = self.adm.ybus
-        v0 = self._base_v
-        assert v0 is not None
 
         v_out = np.tile(v0, (n, 1))
         iterations = np.zeros(n, dtype=int)
@@ -357,8 +350,8 @@ class AcKernel:
         """Branch rows of each outage set, padded with the dummy row."""
         comp = self._compensation()
         sets = [sorted({int(b) for b in ids}) for ids in outages]
-        width = max((len(ids) for ids in sets), default=1)
-        rows = np.full((len(sets), max(width, 1)), comp.n_branch)
+        width = max([1, *map(len, sets)])
+        rows = np.full((len(sets), width), comp.n_branch)
         for i, ids in enumerate(sets):
             for j, bid in enumerate(ids):
                 row = comp.row_of.get(bid)
@@ -422,8 +415,8 @@ class AcKernel:
         for size in np.unique(counts[counts > 0]):
             sel = np.flatnonzero(counts == size)
             kp, kq, mq = comp.capacitances(rows[sel, :size])
-            bad = (_min_singular(kp) < SINGULAR_CAPACITANCE) | (
-                _min_singular(kq) < SINGULAR_CAPACITANCE
+            bad = (np.abs(np.linalg.det(kp)) < SINGULAR_CAPACITANCE) | (
+                np.abs(np.linalg.det(kq)) < SINGULAR_CAPACITANCE
             )
             islanded[sel] = bad
             kp[bad], kq[bad] = np.eye(size), np.eye(2 * size)
@@ -440,14 +433,12 @@ class AcKernel:
         va = np.tile(np.angle(v0), (n, 1))
         converged = np.zeros(n, dtype=bool)
         sweeps = np.zeros(n, dtype=int)
-        norms = np.full(n, np.inf)
         active = np.flatnonzero(~islanded)
 
         def screen(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Mismatch of the active rows; drop converged and diverged."""
             mis = self._outage_mismatch(vm[active], va[active], rows[active], sbus)
             norm = self._row_norms(mis)
-            norms[active] = norm
             converged[active[norm < self.tol]] = True
             live = (norm >= self.tol) & (norm <= FD_DIVERGED)
             return active[live], mis[live]
@@ -488,21 +479,25 @@ class AcKernel:
         if done.size:
             v = vm[done] * np.exp(1j * va[done])
             loading, losses = self._branch_flows(v)
+            outaged = np.zeros((done.size, comp.n_branch + 1), dtype=bool)
+            outaged[np.arange(done.size)[:, np.newaxis], rows[done]] = True
+            outaged = outaged[:, :-1]
+            loading[outaged] = -np.inf
+            losses_mw = np.where(outaged, 0.0, losses).sum(axis=1)
+            v_mag = np.abs(v)
             for j, i in enumerate(done):
-                keep = np.ones(comp.n_branch, dtype=bool)
-                keep[rows[i][rows[i] < comp.n_branch]] = False
                 out[i] = OutageRow(
                     v=v[j],
-                    vm=np.abs(v[j]),
-                    loading_percent=loading[j, keep],
-                    branch_ids=self.arr.branch_ids[keep],
-                    losses_mw=float(losses[j, keep].sum()),
+                    vm=v_mag[j],
+                    loading_percent=loading[j],
+                    branch_ids=self.arr.branch_ids,
+                    losses_mw=float(losses_mw[j]),
                     iterations=int(sweeps[i]),
-                    max_mismatch_pu=float(norms[i]),
                 )
         return AcOutageSolution(out, reasons)
 
     def _warm_start(self) -> np.ndarray:
+        """The cached base voltage every row starts from."""
         if not self.base_result().converged:
             raise RuntimeError(
                 "AC kernel base case did not converge; warm path unusable"
@@ -517,11 +512,7 @@ class AcKernel:
         base = arr.base_mva
         sf = v[:, arr.f_bus] * np.conj((adm.yf @ v.T).T)
         st = v[:, arr.t_bus] * np.conj((adm.yt @ v.T).T)
-        s_worst = np.maximum(np.abs(sf) * base, np.abs(st) * base)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loading = np.where(
-                arr.rate_a > 0, 100.0 * s_worst / (arr.rate_a * base), 0.0
-            )
+        loading = loading_percent(arr, np.abs(sf) * base, np.abs(st) * base)
         return loading, (sf + st).real * base
 
     # ------------------------------------------------------------------
@@ -560,13 +551,6 @@ class AcKernel:
 def _pad(x: np.ndarray) -> np.ndarray:
     """Append the zero column the dummy (absent) index reads."""
     return np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
-
-
-def _min_singular(k: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each stacked matrix (non-finite -> 0)."""
-    s = np.linalg.svd(np.nan_to_num(k, nan=0.0, posinf=0.0, neginf=0.0),
-                      compute_uv=False)
-    return np.where(np.isfinite(k).all(axis=(1, 2)), s.min(axis=1), 0.0)
 
 
 class _Compensation:

@@ -106,11 +106,7 @@ def finalize_solution(
     st = v[arr.t_bus] * np.conj(adm.yt @ v)
     s_from = np.abs(sf) * base
     s_to = np.abs(st) * base
-    s_worst = np.maximum(s_from, s_to)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loading = np.where(
-            arr.rate_a > 0, 100.0 * s_worst / (arr.rate_a * base), 0.0
-        )
+    loading = loading_percent(arr, s_from, s_to)
 
     losses = (sf + st) * base
 
@@ -139,6 +135,20 @@ def finalize_solution(
         runtime_s=runtime_s,
         message=message,
     )
+
+
+def loading_percent(
+    arr: NetworkArrays, s_from_mva: np.ndarray, s_to_mva: np.ndarray
+) -> np.ndarray:
+    """Branch loading vs ``rate_a`` from the worse end (0 where unrated).
+
+    Broadcasts over leading axes, so stacked per-row flows work too.
+    """
+    s_worst = np.maximum(s_from_mva, s_to_mva)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            arr.rate_a > 0, 100.0 * s_worst / (arr.rate_a * arr.base_mva), 0.0
+        )
 
 
 def _allocate_generation(
