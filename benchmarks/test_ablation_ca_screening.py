@@ -1,14 +1,14 @@
 """E8 — Ablation: contingency-analysis acceleration.
 
-Compares the exhaustive AC N-1 sweep against (a) LODF screening with an
-AC budget and (b) the process-pool parallel sweep; checks that the
-accelerated paths agree with the exhaustive ranking where it matters
-(top of the criticality list).
+Compares the exhaustive AC N-1 sweep (compensated outage kernel) against
+(a) LODF screening with an AC budget and (b) the scalar sweep, one warm
+Newton solve per outage; checks that the accelerated paths agree with the
+exhaustive ranking where it matters (top of the criticality list) and
+with the scalar sweep outcome for outcome.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,6 +21,8 @@ from repro.contingency import (
     run_n_minus_1,
     run_screened_n_minus_1,
 )
+from repro.contingency.nminus1 import analyze_single_outage
+from repro.grid import graph as gridgraph
 from repro.grid.cases import load_case
 
 CASE = "ieee118"
@@ -38,16 +40,20 @@ def _run_all():
     screened, estimate = run_screened_n_minus_1(net, ac_budget=AC_BUDGET)
     t_screen = time.perf_counter() - t0
 
-    jobs = min(4, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    parallel = run_n_minus_1(net, n_jobs=jobs)
-    t_par = time.perf_counter() - t0
+    bridges = gridgraph.bridge_branches(net)
+    v_base = full.base.extras["v_complex"]
+    scalar = [
+        analyze_single_outage(net, o.branch_id, bridges=bridges, v_base=v_base)
+        for o in full.outcomes
+    ]
+    t_scalar = time.perf_counter() - t0
 
-    return full, t_full, screened, estimate, t_screen, parallel, t_par, jobs
+    return full, t_full, screened, estimate, t_screen, scalar, t_scalar
 
 
 def test_ablation_ca_screening(benchmark):
-    full, t_full, screened, estimate, t_screen, parallel, t_par, jobs = (
+    full, t_full, screened, estimate, t_screen, scalar, t_scalar = (
         benchmark.pedantic(_run_all, rounds=1, iterations=1)
     )
 
@@ -68,8 +74,8 @@ def test_ablation_ca_screening(benchmark):
             widths,
         ),
         fmt_row(
-            [f"full sweep, {jobs} procs", parallel.n_contingencies, t_par,
-             t_full / max(t_par, 1e-9)],
+            ["scalar sweep (Newton)", len(scalar), t_scalar,
+             t_full / max(t_scalar, 1e-9)],
             widths,
         ),
         "",
@@ -83,7 +89,8 @@ def test_ablation_ca_screening(benchmark):
     assert t_screen < t_full
     assert rank_full.critical_branch_ids[0] == rank_screen.critical_branch_ids[0]
     assert overlap >= 3
-    # Parallel must agree with serial outcome-for-outcome.
-    for a, b in zip(full.outcomes, parallel.outcomes):
+    # The kernel sweep must agree with the scalar one outcome for outcome.
+    for a, b in zip(full.outcomes, scalar):
         assert a.branch_id == b.branch_id
-        assert a.converged == b.converged
+        assert (a.converged, a.islanded) == (b.converged, b.islanded)
+        assert [i for i, _ in a.overloads] == [i for i, _ in b.overloads]

@@ -16,18 +16,17 @@ Every in-service branch is outaged once, in two tiers:
 
 Kernel rows agree with the scalar path under the AC parity contract:
 the same converged flags and overload/violation sets, mismatches under
-the same tolerance, loading within 1e-6.  The sweep can fan out across
-processes (``n_jobs``) — each worker gets a pickled copy of the network
-and a chunk of branch ids and runs the same two tiers.
+the same tolerance, loading within 1e-6.  The sweep runs in-process: with
+the kernel an ieee118 sweep takes about 0.1 s, less than starting a
+process pool, so ``n_jobs`` is accepted for interface stability and
+ignored.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +99,8 @@ def run_n_minus_1(
     its cached base solve then seeds the sweep (no fresh base Newton run)
     and its factorizations serve every outage, which is what makes
     repeated sweeps over one operating point cheap.  Without one, a
-    kernel is built per sweep (per worker) seeded from ``base_result``.
+    kernel is built per sweep seeded from ``base_result``.  ``n_jobs``
+    is ignored: the sweep always runs serially in-process.
     """
     start = time.perf_counter()
     if base_result is None and kernel is not None:
@@ -115,42 +115,20 @@ def run_n_minus_1(
     candidates = branch_ids if branch_ids is not None else net.in_service_branch_ids()
     bridges = gridgraph.bridge_branches(net)
 
-    if n_jobs <= 1 or len(candidates) < 8:
-        outcomes = _sweep_chunk(
-            net, candidates, bridges, base, vmin, vmax, overload_threshold, kernel
-        )
-        jobs = 1
-    else:
-        jobs = min(n_jobs, os.cpu_count() or 1, len(candidates))
-        chunks = [list(c) for c in np.array_split(np.array(candidates), jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _sweep_chunk_star,
-                [
-                    (net, chunk, bridges, base, vmin, vmax, overload_threshold)
-                    for chunk in chunks
-                    if chunk
-                ],
-            )
-            outcomes = [o for part in parts for o in part]
-        outcomes.sort(key=lambda o: o.branch_id)
-
+    outcomes = _sweep(
+        net, candidates, bridges, base, vmin, vmax, overload_threshold, kernel
+    )
     return NMinus1Report(
         case_name=net.metadata.case_name,
         base=base,
         outcomes=outcomes,
         runtime_s=time.perf_counter() - start,
-        n_jobs=jobs,
         vmin=vmin,
         vmax=vmax,
     )
 
 
-def _sweep_chunk_star(args) -> list[ContingencyOutcome]:
-    return _sweep_chunk(*args)
-
-
-def _sweep_chunk(
+def _sweep(
     net: Network,
     branch_ids: list[int],
     bridges: set[int],
@@ -158,7 +136,7 @@ def _sweep_chunk(
     vmin: float,
     vmax: float,
     overload_threshold: float,
-    kernel: AcKernel | None = None,
+    kernel: AcKernel | None,
 ) -> list[ContingencyOutcome]:
     """Outage ``branch_ids`` through the compensated kernel; rows it
     hands back (and ids it cannot take) run :func:`analyze_single_outage`."""

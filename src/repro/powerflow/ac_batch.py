@@ -78,6 +78,17 @@ SINGULAR_CAPACITANCE = 1e-9
 OUTAGE_MAX_SWEEPS = 40
 FD_DIVERGED = 1e6
 
+#: Contraction every outage row must keep up: its mismatch must fall by
+#: ``STALL_RATIO`` over each window of ``STALL_WINDOW`` sweeps, or the row
+#: is handed back as stalled however many sweeps remain.  Warm FD near the
+#: solution Newton finds contracts far faster (worst row over N-1 and 500
+#: N-2 pairs per shipped case: 0.19 per window); a row that stagnates is
+#: wandering, and may drift to a different power-flow solution (ieee57
+#: branch 38: ~1.0 per window, then converges after 110 sweeps at 556%
+#: loading where Newton finds 164%).
+STALL_WINDOW = 4
+STALL_RATIO = 0.5
+
 
 class AcChunkSolution:
     """Stacked warm-path AC solution: row ``i`` is scenario ``i``."""
@@ -382,9 +393,7 @@ class AcKernel:
             cur[r, t] -= comp.ytf[k] * vf + comp.ytt[k] * vt
         return v * np.conj(cur) - sbus
 
-    def solve_outages(
-        self, outages: Sequence[Iterable[int]], *, max_sweeps: int = OUTAGE_MAX_SWEEPS
-    ) -> AcOutageSolution:
+    def solve_outages(self, outages: Sequence[Iterable[int]]) -> AcOutageSolution:
         """Solve stacked branch-outage rows warm from the base voltage.
 
         Each row is a set of branch ids (one or two in practice) of this
@@ -396,9 +405,10 @@ class AcKernel:
 
         A row whose capacitance matrix is singular (the outage splits the
         grid) comes back ``None`` with reason ``"islanded"``; one that
-        goes non-finite, diverges or is not inside ``tol`` after
-        ``max_sweeps`` comes back with ``"fd-stalled"``.  There is no
-        Newton polish: the caller runs its scalar path for those rows.
+        goes non-finite, diverges, stops contracting (mismatch not halved
+        over ``STALL_WINDOW`` sweeps) or is not inside ``tol`` after
+        ``OUTAGE_MAX_SWEEPS`` comes back with ``"fd-stalled"``.  There is
+        no Newton polish: the caller runs its scalar path for those rows.
         """
         v0 = self._warm_start()
         comp = self._compensation()
@@ -435,16 +445,28 @@ class AcKernel:
         sweeps = np.zeros(n, dtype=int)
         active = np.flatnonzero(~islanded)
 
-        def screen(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Mismatch of the active rows; drop converged and diverged."""
+        # Each row's mismatch at the start of every sweep it took.
+        history = np.empty((n, OUTAGE_MAX_SWEEPS))
+
+        def screen(
+            active: np.ndarray,
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Mismatch and norm of the active rows; drop converged and
+            diverged."""
             mis = self._outage_mismatch(vm[active], va[active], rows[active], sbus)
             norm = self._row_norms(mis)
             converged[active[norm < self.tol]] = True
             live = (norm >= self.tol) & (norm <= FD_DIVERGED)
-            return active[live], mis[live]
+            return active[live], mis[live], norm[live]
 
-        for _ in range(max_sweeps):
-            active, mis = screen(active)
+        for sweep in range(OUTAGE_MAX_SWEEPS):
+            active, mis, norm = screen(active)
+            history[active, sweep] = norm
+            if sweep >= STALL_WINDOW:
+                # Rows only ever leave ``active``, so every row still in it
+                # has a norm recorded STALL_WINDOW sweeps back.
+                moving = norm <= STALL_RATIO * history[active, sweep - STALL_WINDOW]
+                active, mis = active[moving], mis[moving]
             if not active.size:
                 break
             sweeps[active] += 1
@@ -458,7 +480,7 @@ class AcKernel:
             va[np.ix_(active, pvpq)] -= x
             if lu_q is None:
                 continue
-            active, mis = screen(active)
+            active, mis, _ = screen(active)
             if not active.size:
                 break
             q = mis[:, pq].imag / vm[np.ix_(active, pq)]

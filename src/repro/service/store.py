@@ -94,14 +94,18 @@ def spec_hash(config: StudyConfig, scenarios: list[Scenario]) -> str:
     ``batch_kernels`` is excluded for the same reason: the batched and
     scalar paths produce bit-identical records, so toggling the fast
     path must not mint a second store entry.  ``ac_mode`` and
-    ``ac_fd_sweeps`` *are* hashed: warm and cold AC records agree only
-    under the parity contract (aggregates within 1e-6, not bit for bit),
-    so sharing one key would make its ``results_digest`` depend on
-    which mode ran last and ``verify``/compare report spurious diffs.
-    (``ac_budget`` is hashed too: it changes which outages get
-    AC-verified, i.e. the results themselves.)
+    ``ac_fd_sweeps`` are hashed for ``powerflow`` studies only: there
+    warm and cold AC records agree only under the parity contract
+    (aggregates within 1e-6, not bit for bit), so sharing one key would
+    make its ``results_digest`` depend on which mode ran last and
+    ``verify``/compare report spurious diffs.  No other analysis reads
+    them, so leaving the fields out keeps those keys stable.
+    (``ac_budget`` is hashed: it changes which outages get AC-verified,
+    i.e. the results themselves.)
     """
-    excluded = ("batch_kernels",)
+    excluded = {"batch_kernels"}
+    if config.analysis != "powerflow":
+        excluded |= {"ac_mode", "ac_fd_sweeps"}
     canon = {
         "config": {
             k: v

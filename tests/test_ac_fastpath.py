@@ -393,6 +393,13 @@ class TestMetricsAndHash:
         # Warm and cold records agree only to parity, so each mode (and
         # sweep budget) keys its own store entry and results digest.
         assert len({warm, cold, fd2}) == 3
+        # Only powerflow reads the AC mode: other analyses ignore it, so
+        # their keys do too.
+        for analysis in ("dc", "screening"):
+            assert len({
+                spec_hash(StudyConfig(analysis=analysis, **knobs), scns)
+                for knobs in ({}, {"ac_mode": "cold"}, {"ac_fd_sweeps": 2})
+            }) == 1
         # The batched DC path is bit-identical, so its toggle stays out.
         assert spec_hash(
             StudyConfig(analysis="powerflow", batch_kernels=False), scns
