@@ -9,9 +9,16 @@ else per-unit).  Constraints:
   rated branch,
 * box — voltage magnitude and generator P/Q bounds.
 
-First and second derivatives come from :mod:`repro.powerflow.jacobian`
-(the MATPOWER formulas), so the IPM sees exact sparse curvature and
-converges in the usual 10-40 iterations.
+First and second derivatives are exact (the MATPOWER formulas of
+``dSbus_dV``, ``dSbr_dV``, ``d2Sbus_dV2``, ``d2Sbr_dV2`` and
+``d2Abr_dV2``), so the IPM sees exact sparse curvature and converges in
+the usual 10-40 iterations.  They are evaluated element by element rather
+than as sparse matrix products: every voltage block of the equality
+Jacobian and of the Lagrangian Hessian lives on the pattern of ``Ybus``
+(plus its transpose and diagonal), and each rated-branch flow touches only
+its two end buses.  :class:`ACOPFProblem` therefore fixes every callback's
+CSR pattern once per problem, and each IPM call only computes a fresh
+``data`` array with numpy.
 """
 
 from __future__ import annotations
@@ -25,14 +32,72 @@ from ..grid.network import Network, NetworkArrays
 from ..grid.units import rad_to_deg
 from ..grid.ybus import AdmittanceMatrices, build_admittances
 from ..instrumentation.probes import instrument_solver
-from ..powerflow.jacobian import d2Abr_dV2, d2Sbus_dV2, dSbr_dV, dSbus_dV
 from .costs import PolynomialCosts
 from .ipm import IPMOptions, IPMResult, solve_ipm
 from .result import OPFResult
 
 
+class FixedPattern:
+    """A CSR sparsity pattern fixed at construction, filled once per call.
+
+    ``rows``/``cols`` list the entries in *source order*: the order in
+    which :meth:`fill` receives their values.  Entries must be distinct.
+    Every matrix :meth:`fill` returns shares the sorted ``indptr`` and
+    ``indices`` arrays and owns a fresh ``data`` array; zero values stay
+    stored, so the pattern never depends on the values.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> None:
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.order = np.lexsort((cols, rows))
+        keys = rows[self.order] * shape[1] + cols[self.order]
+        if np.any(np.diff(keys) == 0):
+            raise ValueError("a fixed pattern cannot hold duplicate entries")
+        self.rows, self.cols, self.shape = rows, cols, shape
+        self.indices = cols[self.order].astype(np.int32)
+        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
+
+    def fill(self, values: np.ndarray) -> sparse.csr_matrix:
+        """The pattern's matrix holding ``values`` (in source order)."""
+        return sparse.csr_matrix(
+            (values[self.order], self.indices, self.indptr), shape=self.shape
+        )
+
+    def stack(self, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> "FixedPattern":
+        """This pattern with ``n_rows`` more rows appended underneath.
+
+        ``rows`` (counted from the first new row) and ``cols`` place the
+        new entries; the stacked pattern's values are this pattern's
+        followed by the new entries', in that source order.
+        """
+        return FixedPattern(
+            np.concatenate([self.rows, np.asarray(rows) + self.shape[0]]),
+            np.concatenate([self.cols, cols]),
+            (self.shape[0] + n_rows, self.shape[1]),
+        )
+
+
+def _scatter(pos: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Complex ``np.bincount``: the sum of ``values`` landing on each slot."""
+    return np.bincount(pos, values.real, n) + 1j * np.bincount(pos, values.imag, n)
+
+
 class ACOPFProblem:
-    """Assembles callbacks for the IPM from a compiled network."""
+    """Assembles callbacks for the IPM from a compiled network.
+
+    All derivative callbacks return CSR matrices over a pattern fixed in
+    ``__init__``:
+
+    * ``P`` — the (bus, bus) pattern: Ybus' entries, their transposes, the
+      diagonal, and both ends of every rated branch.  ``pr``/``pc`` are its
+      rows and columns, ``ptrans`` maps each entry to its transpose and
+      ``pdiag`` locates the diagonal.
+    * rated-branch ends — ``rated`` rows are stacked from-ends first, then
+      to-ends; row ``l`` meters bus ``br_s[l]`` with far bus ``br_o[l]``
+      and self/mutual admittances ``y_ss``/``y_so``.
+    """
 
     def __init__(self, net: Network) -> None:
         self.net = net
@@ -60,24 +125,90 @@ class ACOPFProblem:
             )
 
         self.cg = arr.gen_connection_matrix().tocsr()
+        self.sd = arr.pd + 1j * arr.qd
 
         # Rated branches get flow constraints (rate 0 == unlimited).
         self.rated = np.flatnonzero(arr.rate_a > 0)
         self.rate2 = arr.rate_a[self.rated] ** 2
-        rows = np.arange(self.nl)
-        self.cf = sparse.csr_matrix(
-            (np.ones(self.nl), (rows, arr.f_bus)), shape=(self.nl, self.nb)
-        )[self.rated]
-        self.ct = sparse.csr_matrix(
-            (np.ones(self.nl), (rows, arr.t_bus)), shape=(self.nl, self.nb)
-        )[self.rated]
-        self.yf = self.adm.yf[self.rated]
-        self.yt = self.adm.yt[self.rated]
-        self.f_rated = arr.f_bus[self.rated]
-        self.t_rated = arr.t_bus[self.rated]
 
         self.ref = int(arr.slack_buses[0])
         self.va_ref = float(arr.va0[self.ref])
+
+        self._build_patterns()
+
+    def _build_patterns(self) -> None:
+        nb, ng = self.nb, self.ng
+        buses = np.arange(nb)
+        f = self.arr.f_bus[self.rated]
+        t = self.arr.t_bus[self.rated]
+
+        # Bus-bus pattern P and Ybus' values on it.
+        ybus = self.adm.ybus.tocoo()
+        keys = np.unique(
+            np.concatenate([ybus.row, ybus.col, buses, f, t]) * nb
+            + np.concatenate([ybus.col, ybus.row, buses, t, f])
+        )
+        self.pr, self.pc = np.divmod(keys, nb)
+        self.y = np.zeros(keys.size, dtype=complex)
+        np.add.at(self.y, np.searchsorted(keys, ybus.row * nb + ybus.col), ybus.data)
+        self.ptrans = np.searchsorted(keys, self.pc * nb + self.pr)
+        self.pdiag = np.searchsorted(keys, buses * (nb + 1))
+        npat = keys.size
+
+        # Rated-branch ends: from-ends, then to-ends.
+        nr = len(self.rated)
+        yf = self.adm.yf[self.rated]
+        yt = self.adm.yt[self.rated]
+
+        def entries(ybr, cols):
+            """Entry (l, cols[l]) of every row l of ``ybr``."""
+            coo = ybr.tocoo()
+            hit = coo.col == cols[coo.row]
+            return _scatter(coo.row[hit], coo.data[hit], nr)
+
+        self.br_s = np.concatenate([f, t])
+        self.br_o = np.concatenate([t, f])
+        self.y_ss = np.concatenate([entries(yf, f), entries(yt, t)])
+        self.y_so = np.concatenate([entries(yf, t), entries(yt, f)])
+        self.rate2_rows = np.concatenate([self.rate2, self.rate2])
+        pos_ss = self.pdiag[self.br_s]
+        pos_so = np.searchsorted(keys, self.br_s * nb + self.br_o)
+        # P slots a row's power term lands on: (s, s) and (s, o).
+        self.br_pos = np.concatenate([pos_ss, pos_so])
+
+        # Each row's derivatives run over the local variables
+        # [Va_s, Va_o, Vm_s, Vm_o]; ``br_cols`` are their columns in x and
+        # ``br_hess`` the slots of their 4x4 products in the Hessian's
+        # voltage values (blocks aa, av, va, vv of ``npat`` entries each).
+        s, o = self.br_s, self.br_o
+        self.br_cols = np.column_stack([s, o, nb + s, nb + o])
+        local_pos = np.column_stack([pos_ss, pos_so, self.ptrans[pos_so], self.pdiag[o]])
+        # local_pos[:, 2 * side_a + side_b] is the P slot of (bus_a, bus_b).
+        side = np.array([0, 1, 0, 1])
+        is_vm = np.array([0, 0, 1, 1])
+        self.br_hess = (
+            (2 * is_vm[:, None] + is_vm[None, :]) * npat
+            + local_pos[:, 2 * side[:, None] + side[None, :]]
+        )
+
+        gens = np.arange(ng)
+        gbus = self.arr.gen_bus
+        pr, pc = self.pr, self.pc
+        self.eq_pattern = FixedPattern(
+            np.concatenate([pr, pr, gbus, nb + pr, nb + pr, nb + gbus, [2 * nb]]),
+            np.concatenate([pc, nb + pc, 2 * nb + gens, pc, nb + pc, 2 * nb + ng + gens,
+                            [self.ref]]),
+            (2 * nb + 1, self.nx),
+        )
+        self.ineq_pattern = FixedPattern(
+            np.repeat(np.arange(2 * nr), 4), self.br_cols.ravel(), (2 * nr, self.nx)
+        )
+        self.hess_pattern = FixedPattern(
+            np.concatenate([pr, pr, nb + pr, nb + pr, 2 * nb + gens]),
+            np.concatenate([pc, nb + pc, pc, nb + pc, 2 * nb + gens]),
+            (self.nx, self.nx),
+        )
+        self._neg_cg = -np.ones(ng)  # -Cg's entries in both balance blocks
 
     # ------------------------------------------------------------------
     def initial_point(self) -> np.ndarray:
@@ -150,94 +281,114 @@ class ACOPFProblem:
         df[self.sl_pg] = self.costs.gradient(pg)
         return f, df
 
-    def equalities(self, x: np.ndarray) -> tuple[np.ndarray, sparse.spmatrix]:
-        arr = self.arr
-        v = self.voltage(x)
+    def _balance(self, x: np.ndarray, sbus: np.ndarray) -> np.ndarray:
         sg = self.cg @ (x[self.sl_pg] + 1j * x[self.sl_qg])
-        mis = v * np.conj(self.adm.ybus @ v) + (arr.pd + 1j * arr.qd) - sg
+        mis = sbus + self.sd - sg
+        return np.concatenate([mis.real, mis.imag])
 
-        ds_dva, ds_dvm = dSbus_dV(self.adm.ybus, v)
-        zg = sparse.csr_matrix((self.nb, self.ng))
-        dg_p = sparse.hstack([ds_dva.real, ds_dvm.real, -self.cg, zg])
-        dg_q = sparse.hstack([ds_dva.imag, ds_dvm.imag, zg, -self.cg])
-
-        # Slack angle reference row.
-        ref_row = sparse.csr_matrix(
-            (np.ones(1), (np.zeros(1, dtype=int), [self.ref])), shape=(1, self.nx)
-        )
-        g = np.concatenate([mis.real, mis.imag, [x[self.ref] - self.va_ref]])
-        dg = sparse.vstack([dg_p, dg_q, ref_row], format="csr")
-        return g, dg
-
-    def inequalities(self, x: np.ndarray) -> tuple[np.ndarray, sparse.spmatrix]:
+    def power_balance(self, x: np.ndarray) -> np.ndarray:
+        """Stacked P and Q mismatch per bus (p.u.), without derivatives."""
         v = self.voltage(x)
-        nr = len(self.rated)
-        if nr == 0:
-            return np.empty(0), sparse.csr_matrix((0, self.nx))
+        return self._balance(x, v * np.conj(self.adm.ybus @ v))
 
-        dsf_dva, dsf_dvm, sf = dSbr_dV(self.yf, self.f_rated, v, self.nb)
-        dst_dva, dst_dvm, st = dSbr_dV(self.yt, self.t_rated, v, self.nb)
+    def _pattern_terms(self, v: np.ndarray) -> np.ndarray:
+        """``V_i conj(Y_ij V_j)`` on every entry (i, j) of the pattern P."""
+        return v[self.pr] * np.conj(self.y * v[self.pc])
 
-        h = np.concatenate([np.abs(sf) ** 2 - self.rate2, np.abs(st) ** 2 - self.rate2])
+    def _branch_terms(self, v: np.ndarray, vm: np.ndarray):
+        """Rated-row flows and their derivatives.
 
-        def abs2_grad(s, ds_dva, ds_dvm):
-            dr = sparse.diags(s.real)
-            di = sparse.diags(s.imag)
-            da = 2.0 * (dr @ ds_dva.real + di @ ds_dva.imag)
-            dm = 2.0 * (dr @ ds_dvm.real + di @ ds_dvm.imag)
-            return da, dm
-
-        dfa, dfm = abs2_grad(sf, dsf_dva, dsf_dvm)
-        dta, dtm = abs2_grad(st, dst_dva, dst_dvm)
-        zgen = sparse.csr_matrix((nr, 2 * self.ng))
-        dh = sparse.vstack(
-            [
-                sparse.hstack([dfa, dfm, zgen]),
-                sparse.hstack([dta, dtm, zgen]),
-            ],
-            format="csr",
+        Returns ``(a_ss, a_so, s, jac)``: the self and mutual terms of the
+        metered flow ``s = V_s conj(y_ss V_s + y_so V_o)`` and its complex
+        derivatives over the row's local variables [Va_s, Va_o, Vm_s, Vm_o].
+        """
+        vs = v[self.br_s]
+        a_ss = vs * np.conj(self.y_ss * vs)
+        a_so = vs * np.conj(self.y_so * v[self.br_o])
+        s = a_ss + a_so
+        jac = np.column_stack(
+            [1j * a_so, -1j * a_so, (2.0 * a_ss + a_so) / vm[self.br_s], a_so / vm[self.br_o]]
         )
-        return h, dh
+        return a_ss, a_so, s, jac
+
+    def equalities(self, x: np.ndarray) -> tuple[np.ndarray, sparse.csr_matrix]:
+        v = self.voltage(x)
+        vm = x[self.sl_vm]
+        sbus = v * np.conj(self.adm.ybus @ v)
+        g = np.concatenate([self._balance(x, sbus), [x[self.ref] - self.va_ref]])
+
+        a = self._pattern_terms(v)
+        ds_dva = -1j * a
+        ds_dva[self.pdiag] += 1j * sbus
+        ds_dvm = a / vm[self.pc]
+        ds_dvm[self.pdiag] += sbus / vm
+        values = np.concatenate([
+            ds_dva.real, ds_dvm.real, self._neg_cg,
+            ds_dva.imag, ds_dvm.imag, self._neg_cg, [1.0],
+        ])
+        return g, self.eq_pattern.fill(values)
+
+    def _flow_limits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flow-limit values and their gradient values (source order)."""
+        _, _, s, jac = self._branch_terms(self.voltage(x), x[self.sl_vm])
+        h = np.abs(s) ** 2 - self.rate2_rows
+        dh = 2.0 * (s.real[:, None] * jac.real + s.imag[:, None] * jac.imag)
+        return h, dh.ravel()
+
+    def inequalities(self, x: np.ndarray) -> tuple[np.ndarray, sparse.csr_matrix]:
+        h, dh = self._flow_limits(x)
+        return h, self.ineq_pattern.fill(dh)
 
     def lagrangian_hessian(
         self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray
-    ) -> sparse.spmatrix:
+    ) -> sparse.csr_matrix:
+        nb = self.nb
         v = self.voltage(x)
-        nb, ng = self.nb, self.ng
+        vm = x[self.sl_vm]
+        npat = self.pr.size
 
-        # Objective block (diagonal in Pg).
+        # Every second-order voltage term is Re of the MATPOWER map below
+        # applied to ``c`` on P.  Power balance: c_ij = w_i V_i conj(Y_ij V_j)
+        # with w = lam_p - j lam_q, so Re(w S) = lam_p P + lam_q Q.
+        c = (lam[:nb] - 1j * lam[nb : 2 * nb])[self.pr] * self._pattern_terms(v)
+
+        # Branch limits, mu . |S|^2: the d2Sbr part adds 2 conj(S) mu times
+        # each row's power terms to c; the Gauss-Newton part
+        # 2 mu Re(dS_a conj(dS_b)) adds directly to the voltage values.
+        # Rows past the flow limits (a subclass's linear rows) carry no
+        # curvature, so only the first ``n_rows`` multipliers are read.
+        n_rows = self.br_s.size
+        gn = None
+        if n_rows and mu.size:
+            mu = mu[:n_rows]
+            a_ss, a_so, s, jac = self._branch_terms(v, vm)
+            nu = 2.0 * np.conj(s) * mu
+            c = c + _scatter(self.br_pos, np.concatenate([nu * a_ss, nu * a_so]), npat)
+            outer = (
+                jac.real[:, :, None] * jac.real[:, None, :]
+                + jac.imag[:, :, None] * jac.imag[:, None, :]
+            )
+            gn = (2.0 * mu[:, None, None] * outer).ravel()
+
+        # Gaa = C + C^T - diag(rowsum C + colsum C)
+        # Gva = j diag(1/Vm) (C^T - C + diag(rowsum C - colsum C))
+        # Gvv = diag(1/Vm) (C + C^T) diag(1/Vm),    Gav = Gva^T
+        ct = c[self.ptrans]
+        rows = _scatter(self.pr, c, nb)
+        cols = _scatter(self.pc, c, nb)
+        sym = (c + ct).real
+        haa = sym.copy()
+        haa[self.pdiag] -= (rows + cols).real
+        skew = ct - c
+        skew[self.pdiag] += rows - cols
+        hva = -skew.imag / vm[self.pr]
+        hvv = sym / (vm[self.pr] * vm[self.pc])
+        vv = np.concatenate([haa, hva[self.ptrans], hva, hvv])
+        if gn is not None:
+            vv += np.bincount(self.br_hess.ravel(), gn, vv.size)
+
         d2f_pg = self.costs.hessian_diag(x[self.sl_pg])
-
-        # Power-balance block.
-        lam_p = lam[:nb]
-        lam_q = lam[nb : 2 * nb]
-        gaa_p, gav_p, gva_p, gvv_p = d2Sbus_dV2(self.adm.ybus, v, lam_p)
-        gaa_q, gav_q, gva_q, gvv_q = d2Sbus_dV2(self.adm.ybus, v, lam_q)
-        haa = gaa_p.real + gaa_q.imag
-        hav = gav_p.real + gav_q.imag
-        hva = gva_p.real + gva_q.imag
-        hvv = gvv_p.real + gvv_q.imag
-
-        # Branch-limit block.
-        nr = len(self.rated)
-        if nr and mu.size:
-            mu_f = mu[:nr]
-            mu_t = mu[nr:]
-            dsf_dva, dsf_dvm, sf = dSbr_dV(self.yf, self.f_rated, v, nb)
-            dst_dva, dst_dvm, st = dSbr_dV(self.yt, self.t_rated, v, nb)
-            faa, fav, fva, fvv = d2Abr_dV2(dsf_dva, dsf_dvm, sf, self.cf, self.yf, v, mu_f)
-            taa, tav, tva, tvv = d2Abr_dV2(dst_dva, dst_dvm, st, self.ct, self.yt, v, mu_t)
-            haa = haa + faa + taa
-            hav = hav + fav + tav
-            hva = hva + fva + tva
-            hvv = hvv + fvv + tvv
-
-        vv_block = sparse.bmat([[haa, hav], [hva, hvv]])
-        lxx = sparse.block_diag(
-            [vv_block, sparse.diags(d2f_pg), sparse.csr_matrix((ng, ng))],
-            format="csr",
-        )
-        return lxx
+        return self.hess_pattern.fill(np.concatenate([vv, d2f_pg]))
 
 
 @instrument_solver("acopf")
@@ -306,8 +457,8 @@ def _unpack(prob: ACOPFProblem, res: IPMResult, runtime: float) -> OPFResult:
             0.0,
         )
 
-    mis, _ = prob.equalities(x)
-    max_mis = float(np.max(np.abs(mis[: 2 * prob.nb]))) if prob.nb else 0.0
+    mis = prob.power_balance(x)
+    max_mis = float(np.max(np.abs(mis))) if prob.nb else 0.0
 
     # Nodal prices: $/h per p.u. -> $/MWh.
     lmp = res.lam_eq[: prob.nb] / base

@@ -11,12 +11,32 @@ from __future__ import annotations
 import numpy as np
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.polyval``: ``coeffs`` is (n, degree + 1), highest first.
+
+    Starts from zero exactly as ``np.polyval`` does, so leading zero
+    padding leaves every value bit-identical to the per-row call.
+    """
+    y = np.zeros(coeffs.shape[0])
+    for col in coeffs.T:
+        y = y * x + col
+    return y
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Column-wise ``np.polyder`` of zero-padded coefficient rows."""
+    degree = coeffs.shape[1] - 1
+    return coeffs[:, :-1] * np.arange(degree, 0, -1)
+
+
 class PolynomialCosts:
     """Vectorised evaluation of per-generator polynomial costs.
 
     ``coeffs[i]`` is highest-degree-first for generator ``i`` (any degree;
     quadratic in practice).  All methods take per-unit dispatch and return
-    $/h quantities differentiated w.r.t. per-unit power.
+    $/h quantities differentiated w.r.t. per-unit power.  The coefficients
+    and their first and second derivatives are zero-padded to a common
+    degree once, so every evaluation is one column-wise Horner pass.
     """
 
     def __init__(self, coeffs: list[tuple[float, ...]], base_mva: float) -> None:
@@ -25,33 +45,30 @@ class PolynomialCosts:
         self.coeffs = [tuple(float(c) for c in cs) for cs in coeffs]
         self.base_mva = float(base_mva)
         self.n = len(self.coeffs)
+        # Degree >= 2 keeps the second-derivative table non-empty.
+        width = max([3, *(len(cs) for cs in self.coeffs)])
+        self._c0 = np.zeros((self.n, width))
+        for i, cs in enumerate(self.coeffs):
+            if cs:
+                self._c0[i, width - len(cs):] = cs
+        self._c1 = _derivative(self._c0)
+        self._c2 = _derivative(self._c1)
 
     def cost(self, pg_pu: np.ndarray) -> float:
         """Total cost ($/h) at the given per-unit dispatch."""
         p_mw = np.asarray(pg_pu) * self.base_mva
-        total = 0.0
-        for i, cs in enumerate(self.coeffs):
-            total += float(np.polyval(cs, p_mw[i]))
-        return total
+        # Accumulated in generator order, like a running Python sum.
+        return float(0.0 + np.cumsum(_horner(self._c0, p_mw))[-1]) if self.n else 0.0
 
     def gradient(self, pg_pu: np.ndarray) -> np.ndarray:
         """d(cost)/d(pg_pu) — note the chain-rule factor of base MVA."""
         p_mw = np.asarray(pg_pu) * self.base_mva
-        out = np.empty(self.n)
-        for i, cs in enumerate(self.coeffs):
-            out[i] = float(np.polyval(np.polyder(cs), p_mw[i])) * self.base_mva
-        return out
+        return _horner(self._c1, p_mw) * self.base_mva
 
     def hessian_diag(self, pg_pu: np.ndarray) -> np.ndarray:
         """d2(cost)/d(pg_pu)2 diagonal."""
         p_mw = np.asarray(pg_pu) * self.base_mva
-        out = np.empty(self.n)
-        for i, cs in enumerate(self.coeffs):
-            if len(cs) >= 3:
-                out[i] = float(np.polyval(np.polyder(cs, 2), p_mw[i])) * self.base_mva**2
-            else:
-                out[i] = 0.0
-        return out
+        return _horner(self._c2, p_mw) * self.base_mva**2
 
     def is_convex(self) -> bool:
         """True if every cost curve has non-negative curvature everywhere.

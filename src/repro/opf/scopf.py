@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from ..contingency.lodf import compute_factors
 from ..grid.network import Network
@@ -90,45 +89,36 @@ class _SecuredProblem(ACOPFProblem):
     """ACOPF problem with additional linear security rows.
 
     Each security row bounds ``c' (Cg pg - pd)`` (DC post-contingency flow
-    estimate) on both sides; rows are linear in pg only, so the Hessian is
-    untouched and the gradients append two sparse rows per constraint.
+    estimate) on both sides.  The rows are linear in pg only, so the
+    Hessian is untouched and their gradients are constant: two rows per
+    constraint, built once and stacked under the flow-limit rows' fixed
+    pattern.
     """
 
     def __init__(self, net: Network, constraints: list[SecurityConstraint]) -> None:
         super().__init__(net)
-        self._rows = []
-        self._bounds = []
-        cg = self.cg  # (nb, ng)
-        for sc in constraints:
-            coeff_pg = np.asarray(sc.row @ cg).ravel()  # (ng,)
-            offset = float(sc.row @ self.arr.pd)  # load part, constant
-            self._rows.append((coeff_pg, offset))
-            self._bounds.append(sc.bound)
-        self.n_sec = len(self._rows)
+        self.n_sec = len(constraints)
+        rows = np.array([sc.row for sc in constraints]).reshape(self.n_sec, self.nb)
+        self._sec_coeff = np.asarray(rows @ self.cg)  # (n_sec, ng)
+        self._sec_offset = rows @ self.arr.pd  # load part, constant
+        self._sec_bound = np.array([sc.bound for sc in constraints])
+        # Gradient rows +coeff, -coeff per constraint, in pg columns.
+        grad = np.repeat(self._sec_coeff, 2, axis=0)
+        grad[1::2] *= -1.0
+        rows_nz, gens_nz = np.nonzero(grad)
+        self._sec_values = grad[rows_nz, gens_nz]
+        self.ineq_pattern = self.ineq_pattern.stack(
+            rows_nz, self.sl_pg.start + gens_nz, 2 * self.n_sec
+        )
 
     def inequalities(self, x: np.ndarray):
-        h, dh = super().inequalities(x)
-        if not self.n_sec:
-            return h, dh
-        pg = x[self.sl_pg]
-        rows = []
-        vals = []
-        for (coeff, offset), bound in zip(self._rows, self._bounds):
-            flow = float(coeff @ pg) - offset
-            vals.extend([flow - bound, -flow - bound])
-            row = sparse.lil_matrix((1, self.nx))
-            row[0, self.sl_pg] = coeff
-            rows.append(row.tocsr())
-            rows.append((-row).tocsr())
-        h_sec = np.array(vals)
-        dh_sec = sparse.vstack(rows, format="csr")
-        return np.concatenate([h, h_sec]), sparse.vstack([dh, dh_sec], format="csr")
-
-    def lagrangian_hessian(self, x, lam, mu):
-        # Security rows are linear: drop their multipliers before the
-        # nonlinear Hessian assembly.
-        nr = 2 * len(self.rated)
-        return super().lagrangian_hessian(x, lam, mu[:nr])
+        h, dh = self._flow_limits(x)
+        flow = self._sec_coeff @ x[self.sl_pg] - self._sec_offset
+        h_sec = np.column_stack([flow - self._sec_bound, -flow - self._sec_bound]).ravel()
+        return (
+            np.concatenate([h, h_sec]),
+            self.ineq_pattern.fill(np.concatenate([dh, self._sec_values])),
+        )
 
 
 def _screen_violations(

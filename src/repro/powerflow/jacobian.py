@@ -1,10 +1,14 @@
-"""Partial derivatives of complex power quantities w.r.t. voltage.
+"""Partial derivatives of bus power injections w.r.t. voltage.
 
-These are the standard sparse polar-coordinate derivative blocks (the same
-formulas MATPOWER's ``dSbus_dV`` / ``dSbr_dV`` implement) shared by the
-Newton power flow and the ACOPF first/second-order information.  All
-functions take and return scipy sparse matrices; correctness is pinned by
-finite-difference tests in ``tests/test_derivatives.py``.
+``dSbus_dV`` is the standard sparse polar-coordinate derivative block (the
+formula MATPOWER's ``dSbus_dV`` implements), built from sparse matrix
+products; the Newton power flow assembles its Jacobian from it, and its
+values are pinned by finite-difference tests in ``tests/test_jacobian.py``.
+
+The ACOPF does not use it: :class:`repro.opf.acopf.ACOPFProblem` fills the
+same derivatives, the branch-flow ones and all second derivatives element
+by element over a fixed ``Ybus`` pattern, which costs a fraction of the
+sparse products per interior-point iteration.
 """
 
 from __future__ import annotations
@@ -31,115 +35,3 @@ def dSbus_dV(ybus: sparse.spmatrix, v: np.ndarray) -> tuple[sparse.csr_matrix, s
     ds_dvm = diag_v @ (ybus @ diag_vnorm).conjugate() + diag_ibus.conjugate() @ diag_vnorm
     ds_dva = 1j * diag_v @ (diag_ibus - ybus @ diag_v).conjugate()
     return ds_dva.tocsr(), ds_dvm.tocsr()
-
-
-def dSbr_dV(
-    ybr: sparse.spmatrix,
-    side_bus: np.ndarray,
-    v: np.ndarray,
-    n_bus: int,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray]:
-    """Derivatives of branch-end flows ``Sbr = diag(C V) conj(Ybr V)``.
-
-    ``ybr`` is Yf or Yt and ``side_bus`` the corresponding from/to bus
-    index per branch.  Returns ``(dSbr_dVa, dSbr_dVm, Sbr)``.
-    """
-    nl = len(side_bus)
-    ibr = ybr @ v
-    vside = v[side_bus]
-    sbr = vside * np.conj(ibr)
-
-    rows = np.arange(nl)
-    c_v = sparse.csr_matrix((vside, (rows, side_bus)), shape=(nl, n_bus))
-    c_vnorm = sparse.csr_matrix(
-        (vside / np.abs(vside), (rows, side_bus)), shape=(nl, n_bus)
-    )
-    diag_ibr_conj = _diag(np.conj(ibr))
-    diag_vside = _diag(vside)
-    diag_v = _diag(v)
-    diag_vnorm = _diag(v / np.abs(v))
-
-    dsbr_dva = 1j * (diag_ibr_conj @ c_v - diag_vside @ (ybr @ diag_v).conjugate())
-    dsbr_dvm = diag_vside @ (ybr @ diag_vnorm).conjugate() + diag_ibr_conj @ c_vnorm
-    return dsbr_dva.tocsr(), dsbr_dvm.tocsr(), sbr
-
-
-def d2Sbus_dV2(
-    ybus: sparse.spmatrix, v: np.ndarray, lam: np.ndarray
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
-    """Hessian blocks of ``lam . S(V)`` for bus injections.
-
-    Returns ``(Gaa, Gav, Gva, Gvv)`` — second derivatives ordered
-    angle/magnitude; take ``real`` for P-equation multipliers and ``imag``
-    for Q-equation multipliers.
-    """
-    n = len(v)
-    ibus = ybus @ v
-    diag_lam = _diag(lam)
-    diag_v = _diag(v)
-
-    a = _diag(lam * v)
-    b = ybus @ diag_v
-    c = a @ b.conjugate()
-    d = ybus.conjugate().transpose() @ diag_v
-    e = diag_v.conjugate() @ (d @ diag_lam - _diag(d @ lam))
-    f = c - a @ _diag(np.conj(ibus))
-    g = _diag(1.0 / np.abs(v))
-
-    gaa = e + f
-    gva = 1j * g @ (e - f)
-    gav = gva.transpose()
-    gvv = g @ (c + c.transpose()) @ g
-    return gaa.tocsr(), gav.tocsr(), gva.tocsr(), gvv.tocsr()
-
-
-def d2Sbr_dV2(
-    cbr: sparse.spmatrix,
-    ybr: sparse.spmatrix,
-    v: np.ndarray,
-    mu: np.ndarray,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
-    """Hessian blocks of ``mu . Sbr(V)`` for branch-end complex flows."""
-    diag_mu = _diag(mu)
-    diag_v = _diag(v)
-
-    a = ybr.conjugate().transpose() @ diag_mu @ cbr
-    b = diag_v.conjugate() @ a @ diag_v
-    d = _diag((a @ v) * np.conj(v))
-    e = _diag((a.transpose() @ np.conj(v)) * v)
-    f = b + b.transpose()
-    g = _diag(1.0 / np.abs(v))
-
-    haa = f - d - e
-    hva = 1j * g @ (b - b.transpose() - d + e)
-    hav = hva.transpose()
-    hvv = g @ f @ g
-    return haa.tocsr(), hav.tocsr(), hva.tocsr(), hvv.tocsr()
-
-
-def d2Abr_dV2(
-    d_sbr_dva: sparse.spmatrix,
-    d_sbr_dvm: sparse.spmatrix,
-    sbr: np.ndarray,
-    cbr: sparse.spmatrix,
-    ybr: sparse.spmatrix,
-    v: np.ndarray,
-    mu: np.ndarray,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
-    """Hessian blocks of ``mu . |Sbr|^2`` (squared apparent-power flows).
-
-    This is what the ACOPF branch-limit constraints need.
-    """
-    diag_mu = _diag(mu)
-    saa, sav, sva, svv = d2Sbr_dV2(cbr, ybr, v, np.conj(sbr) * mu)
-
-    haa = 2.0 * (saa + d_sbr_dva.transpose() @ diag_mu @ d_sbr_dva.conjugate()).real
-    hva = 2.0 * (sva + d_sbr_dvm.transpose() @ diag_mu @ d_sbr_dva.conjugate()).real
-    hav = 2.0 * (sav + d_sbr_dva.transpose() @ diag_mu @ d_sbr_dvm.conjugate()).real
-    hvv = 2.0 * (svv + d_sbr_dvm.transpose() @ diag_mu @ d_sbr_dvm.conjugate()).real
-    return (
-        sparse.csr_matrix(haa),
-        sparse.csr_matrix(hav),
-        sparse.csr_matrix(hva),
-        sparse.csr_matrix(hvv),
-    )

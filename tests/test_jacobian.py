@@ -2,21 +2,19 @@
 
 The ACOPF stack is only as correct as these formulas; each block is
 checked against central differences on the genuine IEEE 14 state and on a
-perturbed (non-flat) voltage vector.
+perturbed (non-flat) voltage vector.  ``dSbus_dV`` is the Newton power
+flow's sparse-product form; the branch-flow and second-order blocks are
+the element-wise fills of :class:`ACOPFProblem`, checked block by block
+against the MATPOWER formulas they implement (``dSbr_dV``, ``d2Sbus_dV2``,
+``d2Sbr_dV2``, ``d2Abr_dV2``).
 """
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.grid.ybus import build_admittances
-from repro.powerflow.jacobian import (
-    d2Abr_dV2,
-    d2Sbus_dV2,
-    d2Sbr_dV2,
-    dSbr_dV,
-    dSbus_dV,
-)
+from repro.opf.acopf import ACOPFProblem
+from repro.powerflow.jacobian import dSbus_dV
 
 RNG = np.random.default_rng(42)
 EPS = 1e-6
@@ -71,30 +69,38 @@ def test_dsbus_dvm_matches_fd(state):
     assert np.allclose(ds_dvm.toarray(), fd, atol=1e-6)
 
 
-def test_dsbr_dv_matches_fd(state):
-    arr, adm, vm, va = state
-    v0 = _v(vm, va)
-    dva, dvm, sf = dSbr_dV(adm.yf, arr.f_bus, v0, arr.n_bus)
-    # value check
-    assert np.allclose(sf, v0[arr.f_bus] * np.conj(adm.yf @ v0))
+def _point(prob, vm, va):
+    x = prob.initial_point()
+    x[prob.sl_va] = va
+    x[prob.sl_vm] = vm
+    return x
 
-    nl, nb = arr.n_branch, arr.n_bus
-    fd_a = np.zeros((nl, nb), dtype=complex)
-    fd_m = np.zeros((nl, nb), dtype=complex)
-    for j in range(nb):
-        for target, fd in ((va, fd_a), (vm, fd_m)):
-            p, m = target.copy(), target.copy()
-            p[j] += EPS
-            m[j] -= EPS
-            if target is va:
-                sp = _v(vm, p)[arr.f_bus] * np.conj(adm.yf @ _v(vm, p))
-                sm = _v(vm, m)[arr.f_bus] * np.conj(adm.yf @ _v(vm, m))
-            else:
-                sp = _v(p, va)[arr.f_bus] * np.conj(adm.yf @ _v(p, va))
-                sm = _v(m, va)[arr.f_bus] * np.conj(adm.yf @ _v(m, va))
-            fd[:, j] = (sp - sm) / (2 * EPS)
-    assert np.allclose(dva.toarray(), fd_a, atol=1e-6)
-    assert np.allclose(dvm.toarray(), fd_m, atol=1e-6)
+
+def test_dsbr_dv_matches_fd(case14, state):
+    """Each rated end's flow and its four local derivatives (dSbr_dV)."""
+    arr, adm, vm, va = state
+    prob = ACOPFProblem(case14)
+    v0 = _v(vm, va)
+    _, _, s, jac = prob._branch_terms(v0, vm)
+    nr = len(prob.rated)
+    # value check: from-ends, then to-ends
+    sf = v0[arr.f_bus] * np.conj(adm.yf @ v0)
+    st = v0[arr.t_bus] * np.conj(adm.yt @ v0)
+    assert np.allclose(s, np.concatenate([sf[prob.rated], st[prob.rated]]))
+    assert len(prob.rated) == arr.n_branch  # every branch of ieee14 is rated
+
+    fd = np.zeros((2 * nr, 4), dtype=complex)
+    local = [(False, prob.br_s), (False, prob.br_o), (True, prob.br_s), (True, prob.br_o)]
+    for r in range(2 * nr):
+        for col, (is_vm, bus) in enumerate(local):
+
+            def flow(step):
+                vm_p, va_p = vm.copy(), va.copy()
+                (vm_p if is_vm else va_p)[bus[r]] += step
+                return prob._branch_terms(_v(vm_p, va_p), vm_p)[2][r]
+
+            fd[r, col] = (flow(EPS) - flow(-EPS)) / (2 * EPS)
+    assert np.allclose(jac, fd, atol=1e-6)
 
 
 def _fd_hessian_blocks(fun_grad, vm, va, lam, nb):
@@ -122,61 +128,64 @@ def _fd_hessian_blocks(fun_grad, vm, va, lam, nb):
     return gaa, gav, gva, gvv
 
 
-def test_d2sbus_dv2_matches_fd(state):
+def _assembled_blocks(prob, x, lam, mu):
+    """The VV blocks (aa, av, va, vv) of the assembled Lagrangian Hessian."""
+    h = prob.lagrangian_hessian(x, lam, mu).toarray()
+    nb = prob.nb
+    return h[:nb, :nb], h[:nb, nb : 2 * nb], h[nb : 2 * nb, :nb], h[nb : 2 * nb, nb : 2 * nb]
+
+
+def test_d2sbus_dv2_matches_fd(case14, state):
+    """Power-balance curvature: lam_p . P + lam_q . Q (d2Sbus_dV2)."""
     arr, adm, vm, va = state
     nb = arr.n_bus
-    lam = RNG.uniform(-1, 1, nb) + 1j * RNG.uniform(-1, 1, nb)
+    prob = ACOPFProblem(case14)
+    lam_p, lam_q = RNG.uniform(-1, 1, nb), RNG.uniform(-1, 1, nb)
+    lam = np.concatenate([lam_p, lam_q, [0.0]])
+    mu = np.zeros(2 * len(prob.rated))
 
     def lam_grad(vmm, vaa):
         dva, dvm = dSbus_dV(adm.ybus, _v(vmm, vaa))
-        # gradient of Re(lam' S): real-valued
-        ga = np.real(dva.T @ lam)
-        gm = np.real(dvm.T @ lam)
-        return ga, gm
+        w = lam_p - 1j * lam_q
+        # gradient of Re(w' S) = lam_p' P + lam_q' Q: real-valued
+        return np.real(dva.T @ w), np.real(dvm.T @ w)
 
-    gaa, gav, gva, gvv = d2Sbus_dV2(adm.ybus, _v(vm, va), lam)
-    faa, fav, fva, fvv = _fd_hessian_blocks(lam_grad, vm, va, lam, nb)
-    assert np.allclose(np.real(gaa.toarray()), faa, atol=1e-5)
-    assert np.allclose(np.real(gav.toarray()), fav, atol=1e-5)
-    assert np.allclose(np.real(gva.toarray()), fva, atol=1e-5)
-    assert np.allclose(np.real(gvv.toarray()), fvv, atol=1e-5)
+    blocks = _assembled_blocks(prob, _point(prob, vm, va), lam, mu)
+    for got, want in zip(blocks, _fd_hessian_blocks(lam_grad, vm, va, lam, nb)):
+        assert np.allclose(got, want, atol=1e-5)
 
 
-def test_d2abr_dv2_matches_fd(state):
-    """Hessian of mu' |Sf|^2 against finite differences of its gradient."""
+def test_d2abr_dv2_matches_fd(case14, state):
+    """Hessian of mu' |S|^2 over both rated ends against FD of its gradient."""
     arr, adm, vm, va = state
-    nb, nl = arr.n_bus, arr.n_branch
-    mu = RNG.uniform(0.1, 1.0, nl)
-    rows = np.arange(nl)
-    cf = sparse.csr_matrix((np.ones(nl), (rows, arr.f_bus)), shape=(nl, nb))
+    nb = arr.n_bus
+    prob = ACOPFProblem(case14)
+    mu = RNG.uniform(0.1, 1.0, 2 * len(prob.rated))
+    lam = np.zeros(2 * nb + 1)
 
     def mu_grad(vmm, vaa):
-        v = _v(vmm, vaa)
-        dva, dvm, sf = dSbr_dV(adm.yf, arr.f_bus, v, nb)
-        dr = sparse.diags(sf.real)
-        di = sparse.diags(sf.imag)
-        da = 2.0 * (dr @ dva.real + di @ dva.imag)
-        dm = 2.0 * (dr @ dvm.real + di @ dvm.imag)
-        return np.asarray(da.T @ mu).ravel(), np.asarray(dm.T @ mu).ravel()
+        _, dh = prob.inequalities(_point(prob, vmm, vaa))
+        g = dh.T @ mu
+        return g[:nb], g[nb : 2 * nb]
 
-    v0 = _v(vm, va)
-    dva0, dvm0, sf0 = dSbr_dV(adm.yf, arr.f_bus, v0, nb)
-    haa, hav, hva, hvv = d2Abr_dV2(dva0, dvm0, sf0, cf, adm.yf, v0, mu)
-    faa, fav, fva, fvv = _fd_hessian_blocks(mu_grad, vm, va, mu, nb)
-    assert np.allclose(haa.toarray(), faa, atol=1e-5)
-    assert np.allclose(hav.toarray(), fav, atol=1e-5)
-    assert np.allclose(hva.toarray(), fva, atol=1e-5)
-    assert np.allclose(hvv.toarray(), fvv, atol=1e-5)
+    blocks = _assembled_blocks(prob, _point(prob, vm, va), lam, mu)
+    for got, want in zip(blocks, _fd_hessian_blocks(mu_grad, vm, va, mu, nb)):
+        assert np.allclose(got, want, atol=1e-5)
 
 
-def test_d2sbr_dv2_value_structure(state):
-    """d2Sbr blocks have the expected shapes and finite entries."""
+def test_d2sbr_dv2_value_structure(case14, state):
+    """Branch-flow curvature has the right shape, is finite and symmetric,
+    and lives on the Ybus pattern of the voltage blocks."""
     arr, adm, vm, va = state
-    nb, nl = arr.n_bus, arr.n_branch
-    rows = np.arange(nl)
-    cf = sparse.csr_matrix((np.ones(nl), (rows, arr.f_bus)), shape=(nl, nb))
-    mu = RNG.uniform(0.1, 1.0, nl) + 0j
-    haa, hav, hva, hvv = d2Sbr_dV2(cf, adm.yf, _v(vm, va), mu)
-    for h in (haa, hav, hva, hvv):
-        assert h.shape == (nb, nb)
-        assert np.all(np.isfinite(h.toarray().real))
+    nb = arr.n_bus
+    prob = ACOPFProblem(case14)
+    mu = RNG.uniform(0.1, 1.0, 2 * len(prob.rated))
+    h = prob.lagrangian_hessian(_point(prob, vm, va), np.zeros(2 * nb + 1), mu)
+    assert h.shape == (prob.nx, prob.nx)
+    dense = h.toarray()
+    assert np.all(np.isfinite(dense))
+    assert np.allclose(dense, dense.T, atol=1e-9)
+    on_ybus = (abs(adm.ybus) + abs(adm.ybus.T)).toarray() != 0
+    np.fill_diagonal(on_ybus, True)
+    for block in _assembled_blocks(prob, _point(prob, vm, va), np.zeros(2 * nb + 1), mu):
+        assert not np.any(block[~on_ybus])
