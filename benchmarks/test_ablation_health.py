@@ -6,7 +6,7 @@ of the instrument dicts into plain data on a fixed interval, and rule
 evaluation is arithmetic over at most ``max_samples`` retained
 snapshots — none of it touches the study hot path.  This benchmark runs
 the same Monte-Carlo ensemble through the shared
-:class:`~repro.service.executor.StudyExecutor` in two modes —
+:class:`~repro.scenarios.executor.StudyExecutor` in two modes —
 
 * ``metrics``        — the E15 metrics-on baseline (registry enabled,
   no sampler),

@@ -3,7 +3,7 @@
 The streaming rework keeps a 10k-scenario study's parent-side footprint
 at O(in-flight window x chunk + worst-K) scenario results instead of the
 full ensemble.  This benchmark runs the same Monte Carlo ensemble through
-the shared :class:`~repro.service.executor.StudyExecutor` twice — once
+the shared :class:`~repro.scenarios.executor.StudyExecutor` twice — once
 materialized (``keep_results=True``, the pre-streaming world) and once
 streamed through the online reducer — and records wall-clock, the
 parent-heap allocation peak (tracemalloc; process peak-RSS is monotonic

@@ -1,7 +1,7 @@
 """E12 — Ablation: shared-executor study throughput vs per-run pools.
 
 The service layer routes every batch study through one long-lived
-:class:`~repro.service.executor.StudyExecutor` instead of letting
+:class:`~repro.scenarios.executor.StudyExecutor` instead of letting
 ``BatchStudyRunner`` spawn a fresh process pool per ``run()``.  This
 benchmark submits a back-to-back sequence of studies both ways, checks
 the numbers are identical, and reports how much of the per-run pool cost

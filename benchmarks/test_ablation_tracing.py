@@ -5,7 +5,7 @@ plain dict increments shipped per chunk as a state delta, spans are only
 allocated when a recording tracer is installed, and untraced studies pay
 a single ``None`` check per chunk.  This benchmark runs the same
 Monte-Carlo ensemble through the shared
-:class:`~repro.service.executor.StudyExecutor` in three modes —
+:class:`~repro.scenarios.executor.StudyExecutor` in three modes —
 
 * ``off``        — metrics registry disabled (workers mirror it), no tracer,
 * ``metrics``    — the always-on registry collecting and merging deltas,

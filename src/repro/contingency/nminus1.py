@@ -18,8 +18,7 @@ Kernel rows agree with the scalar path under the AC parity contract:
 the same converged flags and overload/violation sets, mismatches under
 the same tolerance, loading within 1e-6.  The sweep runs in-process: with
 the kernel an ieee118 sweep takes about 0.1 s, less than starting a
-process pool, so ``n_jobs`` is accepted for interface stability and
-ignored.
+process pool.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class NMinus1Report:
     base: PowerFlowResult
     outcomes: list[ContingencyOutcome]
     runtime_s: float
-    n_jobs: int = 1
     vmin: float = 0.94
     vmax: float = 1.06
     extras: dict = field(default_factory=dict)
@@ -85,7 +83,6 @@ def run_n_minus_1(
     vmin: float = 0.94,
     vmax: float = 1.06,
     overload_threshold: float = 100.0,
-    n_jobs: int = 1,
     base_result: PowerFlowResult | None = None,
     kernel=None,
 ) -> NMinus1Report:
@@ -99,8 +96,7 @@ def run_n_minus_1(
     its cached base solve then seeds the sweep (no fresh base Newton run)
     and its factorizations serve every outage, which is what makes
     repeated sweeps over one operating point cheap.  Without one, a
-    kernel is built per sweep seeded from ``base_result``.  ``n_jobs``
-    is ignored: the sweep always runs serially in-process.
+    kernel is built per sweep seeded from ``base_result``.
     """
     start = time.perf_counter()
     if base_result is None and kernel is not None:

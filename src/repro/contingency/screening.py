@@ -143,7 +143,6 @@ def run_screened_n_minus_1(
     net: Network,
     *,
     ac_budget: int = 30,
-    n_jobs: int = 1,
 ) -> tuple[NMinus1Report, ScreeningEstimate]:
     """Run the two-stage analysis.
 
@@ -155,7 +154,7 @@ def run_screened_n_minus_1(
     candidates = estimate.top(ac_budget)
     # Islanding outages are cheap (no solve) — always include for completeness.
     candidates = sorted(set(candidates) | set(int(b) for b in estimate.islanding))
-    report = run_n_minus_1(net, branch_ids=candidates, n_jobs=n_jobs)
+    report = run_n_minus_1(net, branch_ids=candidates)
     report.extras["screening"] = estimate
     report.extras["ac_budget"] = ac_budget
     return report, estimate

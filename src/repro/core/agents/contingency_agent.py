@@ -56,7 +56,6 @@ class RunN1Args(BaseModel):
     weights_profile: str = Field(default="balanced")
     overload_threshold: float = Field(default=100.0, gt=0.0)
     ranking_metric: str = Field(default="severity")
-    n_jobs: int = Field(default=1, ge=1)
 
 
 class SpecificArgs(BaseModel):
@@ -114,7 +113,6 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
         weights_profile: str = "balanced",
         overload_threshold: float = 100.0,
         ranking_metric: str = "severity",
-        n_jobs: int = 1,
     ) -> dict:
         net = context.require_network()
         if weights_profile not in _WEIGHTS:
@@ -140,7 +138,6 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
                 net,
                 branch_ids=missing,
                 overload_threshold=overload_threshold,
-                n_jobs=n_jobs,
                 base_result=context.base_pf,
             )
             fresh_outcomes = report.outcomes

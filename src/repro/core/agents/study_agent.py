@@ -12,7 +12,7 @@ the shared context for follow-up questions and narration.
 Service-layer wiring (both optional, both duck-typed so this module
 never imports :mod:`repro.service`):
 
-* ``executor`` — a shared :class:`~repro.service.executor.StudyExecutor`;
+* ``executor`` — a shared :class:`~repro.scenarios.executor.StudyExecutor`;
   when present every study runs on the long-lived shared pool instead of
   a per-run one,
 * ``store`` — a :class:`~repro.service.store.ResultStore`; when present

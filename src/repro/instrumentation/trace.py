@@ -8,7 +8,7 @@ stack::
 
     service.run_study            GridMindService (asyncio front door)
       study.run                  BatchStudyRunner
-        executor.dispatch        StudyExecutor / pool / serial loop
+        executor.dispatch        StudyExecutor (serial.dispatch in-process)
           worker.chunk           pool worker process (re-parented)
             scenario.run         _WorkerState.run_scenario
               solve.newton       powerflow/OPF entry points

@@ -10,8 +10,9 @@ inspect impacts") made batch-first:
   N-2 combinations, daily profile, factorial crosses) expanded lazily
   from compact descriptions,
 * :mod:`repro.scenarios.runner` — :class:`BatchStudyRunner` with
-  process-pool parallelism, bounded-window streaming dispatch, and
-  per-worker cache reuse,
+  bounded-window streaming dispatch and per-worker cache reuse,
+* :mod:`repro.scenarios.executor` — ``StudyExecutor``, the one
+  process-pool dispatcher (shared by the service or ephemeral per run),
 * :mod:`repro.scenarios.aggregate` — online :class:`StudyReducer`
   ensemble statistics (violation frequencies, exact-or-P²-sketched cost
   percentiles, critical-ranking stability).

@@ -1,11 +1,16 @@
-"""StudyExecutor: one long-lived process pool shared by every study.
+"""StudyExecutor: the one process-pool dispatcher for batch studies.
 
-:class:`~repro.scenarios.runner.BatchStudyRunner` historically spun up a
-``ProcessPoolExecutor`` per ``run()`` call, paying worker start-up
-(interpreter fork + numpy/scipy import on spawn) for every study.  The
-service layer instead owns a single :class:`StudyExecutor`: a work queue
-over one persistent pool that all sessions share, so back-to-back studies
-reuse warm workers.
+Every pooled study reaches its workers through :class:`StudyExecutor`.
+The service layer owns one long-lived executor shared by every session,
+so back-to-back studies reuse warm workers;
+:class:`~repro.scenarios.runner.BatchStudyRunner` with ``n_jobs > 1`` and
+no injected executor creates an ephemeral one for the length of one
+``run()``.  Studies that stay in-process never touch this module's pool.
+
+This module owns dispatch geometry: :func:`default_chunk_size` and
+:meth:`StudyExecutor.dispatch_plan` decide how a stream is chunked and
+how many chunks may be in flight, :func:`iter_chunks` draws the chunks,
+and :func:`_execute_chunk` evaluates one inside a worker.
 
 Worker-side state is content-addressed.  Each worker process keeps a
 small LRU of :class:`~repro.scenarios.runner._WorkerState` instances
@@ -17,47 +22,144 @@ PTDF/LODF factor cache and contingency cache.  The parent likewise
 pickles the base network once per study, not once per chunk.
 
 Determinism: chunks are submitted and collected in scenario order and
-evaluated by the exact same ``_WorkerState`` code path the serial runner
-uses, so executor-backed, per-run-pool, and serial studies produce
-identical result lists.
+evaluated by the exact same ``_WorkerState`` code path the in-process
+loop uses, so pooled and serial studies produce identical result lists.
 
-Dispatch is *streaming*: :meth:`StudyExecutor.run_study_iter` draws
+Dispatch is *streaming*: :meth:`StudyExecutor.run_study_chunks` draws
 chunks lazily from the scenario stream with a bounded in-flight window
-(backpressure against the shared pool) and yields completed chunks in
-order, so a 10k-scenario ensemble flows through the parent process
-without ever materialising — the consumer folds each chunk into an
-online reducer and drops it.  :meth:`run_study` keeps the materialised
-list shape for callers that want it.
+(backpressure against the pool) and yields completed chunks in order,
+so a 10k-scenario ensemble flows through the parent process without
+ever materialising — the consumer folds each chunk into an online
+reducer and drops it.  :meth:`~StudyExecutor.run_study` keeps the
+materialised list shape for callers that want it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
+import os
 import pickle
 import threading
+import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..contingency.cache import network_content_hash
 from ..grid.network import Network
-from ..instrumentation.metrics import get_metrics
-from ..instrumentation.trace import current_trace_context
-from ..scenarios.runner import (
-    ChunkOutcome,
-    ScenarioResult,
-    StudyConfig,
-    _execute_chunk,
-    _WorkerState,
-    default_chunk_size,
-    iter_chunks,
+from ..instrumentation.metrics import (
+    MetricsRegistry,
+    get_metrics,
+    set_metrics,
+    state_delta,
 )
-from ..scenarios.spec import Scenario
-from ..scenarios.stream import stream_length
+from ..instrumentation.trace import current_trace_context, worker_trace
+from .spec import Scenario
+from .stream import stream_length
+
+if TYPE_CHECKING:
+    from .runner import ScenarioResult, StudyConfig, _WorkerState
+
+#: Chunk-size ceiling (also the size used when the stream's length is
+#: unknown).  The ~4-chunks-per-worker split is capped here so the
+#: in-flight window's worst-case resident results stay O(window x
+#: constant) however large the ensemble — an uncapped split would make
+#: chunk (and therefore streamed peak memory) scale with n.
+DEFAULT_STREAM_CHUNK = 32
+
+
+def default_chunk_size(total: int | None, n_jobs: int) -> int:
+    """~4 chunks per worker for sized ensembles, capped at the stream stride."""
+    if total is None:
+        return DEFAULT_STREAM_CHUNK
+    return max(1, min(math.ceil(total / (max(1, n_jobs) * 4)), DEFAULT_STREAM_CHUNK))
+
+
+def iter_chunks(
+    scenarios: Iterable[Scenario], chunk: int
+) -> Iterator[list[Scenario]]:
+    """Order-preserving dispatch chunks drawn lazily from the stream."""
+    if chunk < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    it = iter(scenarios)
+    while batch := list(itertools.islice(it, chunk)):
+        yield batch
+
+
+@dataclass
+class ChunkOutcome:
+    """One evaluated chunk plus its observability payload.
+
+    What both execution paths (in-process loop, executor) yield to the
+    runner's fold loop: the results themselves, the worker's identity and
+    wall time (surfaced on ``StudyProgress``), the finished span dicts
+    recorded inside the worker (stitched into the parent trace via
+    :meth:`~repro.instrumentation.trace.Tracer.adopt`), and the
+    worker-local metrics delta (folded into the parent registry via
+    :meth:`~repro.instrumentation.metrics.MetricsRegistry.merge_state`).
+    """
+
+    results: list[ScenarioResult]
+    worker_pid: int = 0
+    wall_s: float = 0.0
+    spans: list[dict] = field(default_factory=list)
+    metrics: dict | None = None
+
 
 # ----------------------------------------------------------------------
 # worker-side plumbing (runs inside pool processes)
 # ----------------------------------------------------------------------
+
+
+def _execute_chunk(
+    state: _WorkerState,
+    scenarios: list[Scenario],
+    trace_ctx: tuple[str, str] | None,
+    collect_metrics: bool,
+) -> ChunkOutcome:
+    """Evaluate one chunk inside a worker process, instrumented.
+
+    ``trace_ctx`` is the dispatcher's serialised span context (``None``
+    for untraced studies — the worker then pays only this check): a
+    private chunk tracer is activated under it, so the ``worker.chunk``
+    span and everything beneath (scenario, solver) reparent correctly
+    once adopted.  ``collect_metrics`` ships the worker-local
+    counter/histogram delta for this chunk back to the parent.
+    """
+    tick = time.perf_counter()
+    # Mirror the dispatcher's collection flag regardless of what registry
+    # this worker inherited at fork time: a worker forked during an
+    # untraced study must still collect for a later metered one, and with
+    # collection off the increments should no-op rather than accumulate
+    # into a registry nobody will ever drain.
+    previous = None
+    if collect_metrics != get_metrics().enabled:
+        previous = set_metrics(MetricsRegistry(enabled=collect_metrics))
+    before = get_metrics().state() if collect_metrics else None
+    try:
+        with worker_trace(trace_ctx) as tracer:
+            with tracer.span("worker.chunk", n_scenarios=len(scenarios)):
+                results = state.run_chunk(scenarios)
+        delta = (
+            state_delta(get_metrics().state(), before)
+            if collect_metrics
+            else None
+        )
+    finally:
+        if previous is not None:
+            set_metrics(previous)
+    return ChunkOutcome(
+        results=results,
+        worker_pid=os.getpid(),
+        wall_s=time.perf_counter() - tick,
+        spans=tracer.drain_dicts(),
+        metrics=delta,
+    )
+
 
 #: Resident per-study states, LRU-evicted.  Small cap: a state holds a
 #: full network copy plus factor/contingency caches.
@@ -76,12 +178,14 @@ def _run_shared_chunk(
 ) -> ChunkOutcome:
     """Evaluate one chunk, reusing this worker's resident study state.
 
-    Returns a :class:`~repro.scenarios.runner.ChunkOutcome` carrying the
-    worker pid (the acceptance signal that consecutive studies reuse one
-    pool instead of spawning fresh processes) plus the chunk's spans —
-    minted under the dispatcher's serialised ``trace_ctx`` so they stitch
-    into the parent trace — and its worker-local metrics delta.
+    Returns a :class:`ChunkOutcome` carrying the worker pid (the
+    acceptance signal that consecutive studies reuse one pool instead of
+    spawning fresh processes) plus the chunk's spans — minted under the
+    dispatcher's serialised ``trace_ctx`` so they stitch into the parent
+    trace — and its worker-local metrics delta.
     """
+    from .runner import _WorkerState
+
     state = _STATES.get(study_key)
     if state is None:
         base = pickle.loads(base_blob)
@@ -101,8 +205,6 @@ def _run_shared_chunk(
 
 def study_state_key(base: Network, config: StudyConfig) -> str:
     """Content-hash key for a (base network, study config) pair."""
-    import hashlib
-
     return hashlib.blake2b(
         f"{network_content_hash(base)}|{config!r}".encode("utf-8"),
         digest_size=8,
@@ -110,11 +212,11 @@ def study_state_key(base: Network, config: StudyConfig) -> str:
 
 
 class StudyExecutor:
-    """Work queue over one persistent process pool, shared across studies.
+    """Work queue over one process pool, shared across studies.
 
-    Thread-safe: the service layer calls :meth:`run_study` from multiple
-    worker threads (one per active session turn); pool creation and stat
-    updates are serialised behind a lock while the chunk futures
+    Thread-safe: the service layer calls :meth:`run_study_chunks` from
+    multiple worker threads (one per active session turn); pool creation
+    and stat updates are serialised behind a lock while the chunk futures
     themselves run unlocked.
     """
 
@@ -160,7 +262,7 @@ class StudyExecutor:
         construction on the main thread): forking pool workers while
         other threads are running risks children inheriting locks held
         mid-operation — CPython's documented fork hazard.  Lazy creation
-        inside :meth:`run_study` remains as a fallback for direct,
+        inside :meth:`run_study_chunks` remains as a fallback for direct,
         single-threaded users.
         """
         with self._lock:
@@ -182,13 +284,13 @@ class StudyExecutor:
     ) -> tuple[int, int]:
         """Resolve the (chunk size, in-flight window) a study will use.
 
-        The single source of truth for the executor's dispatch geometry:
-        :meth:`run_study_iter` submits with it, and
+        The single source of truth for dispatch geometry:
+        :meth:`run_study_chunks` submits with it, and
         :class:`~repro.scenarios.runner.BatchStudyRunner` consults it for
-        its resident-results bound — keeping the two layers' views of
-        chunking identical matters because order-preserving, identically-
-        chunked dispatch is what makes tag-sliced aggregation bit-equal
-        across serial, pooled, and streamed execution.
+        its resident-results bound — keeping the two views of chunking
+        identical matters because order-preserving, identically-chunked
+        dispatch is what makes tag-sliced aggregation bit-equal across
+        serial, pooled, and streamed execution.
         """
         chunk = chunk_size or self.chunk_size or default_chunk_size(total, self.max_workers)
         window = max(
@@ -205,16 +307,16 @@ class StudyExecutor:
         chunk_size: int | None = None,
         window: int | None = None,
     ) -> Iterator[ChunkOutcome]:
-        """Stream ``scenarios`` through the shared pool, chunk by chunk.
+        """Stream ``scenarios`` through the pool, chunk by chunk.
 
         Chunks are drawn lazily from the scenario stream with at most
         ``window`` in flight (submitted but not yet drained) — the
         backpressure that keeps a 10k-scenario ensemble from piling
         either pending futures or completed-but-unread results into
         parent memory.  Completed chunks are yielded in scenario order as
-        :class:`~repro.scenarios.runner.ChunkOutcome` records, so
-        consumers fold the results into an online reducer, stitch the
-        worker spans into the parent trace, and drop them.
+        :class:`ChunkOutcome` records, so consumers fold the results into
+        an online reducer, stitch the worker spans into the parent trace,
+        and drop them.
 
         Each submission captures :func:`current_trace_context` — since a
         generator body runs in its consumer's context, that is the span
@@ -339,21 +441,6 @@ class StudyExecutor:
         with self._lock:
             self.n_studies += 1
 
-    def run_study_iter(
-        self,
-        base: Network,
-        config: StudyConfig,
-        scenarios: Iterable[Scenario],
-        *,
-        chunk_size: int | None = None,
-        window: int | None = None,
-    ) -> Iterator[list[ScenarioResult]]:
-        """Plain-results view of :meth:`run_study_chunks` (compat shape)."""
-        for outcome in self.run_study_chunks(
-            base, config, scenarios, chunk_size=chunk_size, window=window
-        ):
-            yield outcome.results
-
     def run_study(
         self,
         base: Network,
@@ -362,17 +449,17 @@ class StudyExecutor:
         *,
         chunk_size: int | None = None,
     ) -> list[ScenarioResult]:
-        """Execute ``scenarios`` on the shared pool, preserving order.
+        """Execute ``scenarios`` on the pool, preserving order.
 
-        Materialised convenience over :meth:`run_study_iter` — same
+        Materialised convenience over :meth:`run_study_chunks` — same
         windowed dispatch underneath, results concatenated for callers
         that want the full list.
         """
         results: list[ScenarioResult] = []
-        for chunk_results in self.run_study_iter(
+        for outcome in self.run_study_chunks(
             base, config, scenarios, chunk_size=chunk_size
         ):
-            results.extend(chunk_results)
+            results.extend(outcome.results)
         return results
 
     def _reset_broken_pool(self, pool: ProcessPoolExecutor) -> None:

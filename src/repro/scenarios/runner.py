@@ -3,13 +3,15 @@
 Each scenario realises a fresh network copy and runs one of six
 analyses: AC power flow, linear DC screening, DCOPF, ACOPF, two-stage
 contingency screening, or preventive SCOPF.  Scenarios are independent,
-so the runner fans chunks out over a ``concurrent.futures`` process
-pool; every worker is initialised once with the pickled base network and
-then amortises the expensive shared state across all scenarios it
-processes:
+so a study is cut into chunks and evaluated either in-process or on a
+:class:`~repro.scenarios.executor.StudyExecutor` process pool — a shared
+one injected by the service layer, or an ephemeral one the run owns when
+``n_jobs > 1``.  Either way each chunk runs through one
+:class:`_WorkerState`, which amortises the expensive shared state across
+every scenario it processes:
 
-* the compiled DC kernels and PTDF/LODF sensitivity factors, keyed by an
-  electrical-topology digest (load-only perturbations reuse one
+* the compiled DC and AC kernels and PTDF/LODF sensitivity factors, keyed
+  by an electrical-topology digest (load-only perturbations reuse one
   factorisation for the whole ensemble), and
 * the composite-key contingency cache, so identical (content, outage)
   evaluations are never repeated within a worker.
@@ -22,7 +24,7 @@ chunks degrade gracefully to per-scenario evaluation.
 
 Results are plain-data :class:`ScenarioResult` records — cheap to pickle
 back — and the chunked dispatch preserves scenario order, so serial,
-parallel, and streamed runs aggregate identically (a property the test
+pooled, and streamed runs aggregate identically (a property the test
 suite asserts).
 
 The execution pipeline is *streaming*: chunks are drawn lazily from the
@@ -38,28 +40,20 @@ ensembles opt out and hold O(window x chunk + K) results at peak.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
-import math
 import os
 import time
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..instrumentation.accounting import record_chunk, record_study
-from ..instrumentation.metrics import (
-    ITERATION_BUCKETS,
-    MetricsRegistry,
-    get_metrics,
-    set_metrics,
-    state_delta,
-)
+from ..instrumentation.metrics import ITERATION_BUCKETS, get_metrics
 from ..instrumentation.probes import record_fallbacks
-from ..instrumentation.trace import current_trace_context, get_tracer, worker_trace
+from ..instrumentation.trace import get_tracer
 from ..contingency.cache import ContingencyCache
 from ..contingency.lodf import SensitivityFactors, compute_factors
 from ..contingency.nminus1 import NMinus1Report, run_n_minus_1
@@ -76,17 +70,11 @@ from .aggregate import (
     StudyAggregate,
     aggregate_study,
 )
+from .executor import ChunkOutcome, StudyExecutor, default_chunk_size, iter_chunks
 from .spec import BranchOutage, Scenario, ScenarioError
 from .stream import as_stream, stream_length
 
 ANALYSES = ("powerflow", "dc", "dcopf", "acopf", "screening", "scopf")
-
-#: Chunk-size ceiling (also the size used when the stream's length is
-#: unknown).  The ~4-chunks-per-worker split is capped here so the
-#: in-flight window's worst-case resident results stay O(window x
-#: constant) however large the ensemble — an uncapped split would make
-#: chunk (and therefore streamed peak memory) scale with n.
-DEFAULT_STREAM_CHUNK = 32
 
 #: Default cap on the worst-scenario heap a streamed study retains.
 DEFAULT_WORST_K = 20
@@ -359,6 +347,34 @@ def _replay(
     return results, live, values
 
 
+class TopologyCache:
+    """Objects built once per electrical topology, capped and cleared.
+
+    Keyed on :func:`~repro.powerflow.batch.topology_digest`, which covers
+    everything a factorization depends on but *not* loads — so a whole
+    load-perturbation ensemble maps onto one entry.  Outage ensembles
+    mint a new digest per scenario, so past ``cap`` entries the cache is
+    simply dropped (reuse is an optimisation, not state).
+    """
+
+    def __init__(self, cap: int, build: Callable[[Network], object]) -> None:
+        self.cap = cap
+        self.build = build
+        self._entries: dict[bytes, object] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, net: Network):
+        key = topology_digest(net.compile())
+        value = self._entries.get(key)
+        if value is None:
+            if len(self._entries) >= self.cap:
+                self._entries.clear()
+            value = self._entries[key] = self.build(net)
+        return value
+
+
 class _WorkerState:
     """One worker's long-lived state: base network plus reusable caches."""
 
@@ -368,76 +384,34 @@ class _WorkerState:
     #: cap it is simply dropped (reuse is an optimisation, not state).
     CA_CACHE_MAX_ENTRIES = 20_000
 
-    #: Entry caps for the topology-keyed factor and kernel caches.  Outage
-    #: ensembles mint a new digest per scenario, so without a cap these
-    #: grow with the ensemble (dense PTDF/LODF matrices and LU objects,
-    #: respectively — far heavier per entry than the CA cache's records).
-    #: Past the cap the cache is dropped, same policy as the CA cache.
-    FACTORS_CACHE_MAX_ENTRIES = 256
-    KERNEL_CACHE_MAX_ENTRIES = 64
-
     def __init__(self, base: Network, config: StudyConfig) -> None:
         self.base = base
         self.config = config
-        self.factors_cache: dict[bytes, SensitivityFactors] = {}
-        self.kernel_cache: dict[bytes, DcKernel] = {}
-        self.ac_kernel_cache: dict[bytes, AcKernel] = {}
+        # Kernels hold SuperLU objects (heavy, unpicklable, so strictly
+        # worker-local); factors hold dense PTDF/LODF matrices and reuse
+        # the DC kernel's LU.  No build closes over ``self``: a reference
+        # cycle would keep every dropped state (network copy, kernels,
+        # factors) alive until the cyclic collector runs.
+        dc_kernels = TopologyCache(64, lambda net: DcKernel(net.compile()))
+        self.dc_kernels = dc_kernels
+        self.ac_kernels = TopologyCache(64, AcKernel)
+        self.factors = TopologyCache(
+            256, lambda net: compute_factors(net, kernel=dc_kernels.get(net))
+        )
         self.ca_cache = ContingencyCache()
 
-    # ------------------------------------------------------------------
     def kernel_for(self, net: Network) -> DcKernel:
-        """Compiled :class:`DcKernel`, cached on the topology digest.
-
-        One factorization per electrical topology per worker: the whole
-        load-perturbation ensemble (and every PTDF computation for it)
-        reuses this kernel's LU.
-        """
-        arr = net.compile()
-        key = topology_digest(arr)
-        kernel = self.kernel_cache.get(key)
-        if kernel is None:
-            if len(self.kernel_cache) >= self.KERNEL_CACHE_MAX_ENTRIES:
-                self.kernel_cache.clear()
-            kernel = DcKernel(arr)
-            self.kernel_cache[key] = kernel
-        return kernel
+        """Compiled :class:`DcKernel`: one factorization per topology."""
+        return self.dc_kernels.get(net)
 
     def ac_kernel_for(self, net: Network) -> AcKernel:
-        """Warm-start :class:`AcKernel`, cached on the topology digest.
-
-        One base solve and one B'/B'' factorization pair per electrical
-        topology per worker — the whole injection-only AC ensemble warm
-        starts from this kernel's cached base voltage.  Capped like the
-        DC kernel cache (SuperLU objects are heavy and unpicklable, so
-        the cache is strictly worker-local).
-        """
-        arr = net.compile()
-        key = topology_digest(arr)
-        kernel = self.ac_kernel_cache.get(key)
-        if kernel is None:
-            if len(self.ac_kernel_cache) >= self.KERNEL_CACHE_MAX_ENTRIES:
-                self.ac_kernel_cache.clear()
-            kernel = AcKernel(net)
-            self.ac_kernel_cache[key] = kernel
-        return kernel
+        """Warm-start :class:`AcKernel`: one base solve and one B'/B''
+        factorization pair per topology."""
+        return self.ac_kernels.get(net)
 
     def factors_for(self, net: Network) -> SensitivityFactors:
-        """PTDF/LODF factors, cached on the electrical-topology digest.
-
-        The digest covers everything the DC factors depend on (incidence,
-        impedances, taps, shifts, bus types) but *not* loads — so a
-        load-perturbation ensemble computes one factorisation total, and
-        the PTDF comes through the same LU the kernel cache holds.
-        """
-        arr = net.compile()
-        key = topology_digest(arr)
-        factors = self.factors_cache.get(key)
-        if factors is None:
-            if len(self.factors_cache) >= self.FACTORS_CACHE_MAX_ENTRIES:
-                self.factors_cache.clear()
-            factors = compute_factors(net, kernel=self.kernel_for(net))
-            self.factors_cache[key] = factors
-        return factors
+        """PTDF/LODF factors through the same LU the kernel cache holds."""
+        return self.factors.get(net)
 
     # ------------------------------------------------------------------
     def run_chunk(self, scenarios: list[Scenario]) -> list[ScenarioResult]:
@@ -572,14 +546,10 @@ class _WorkerState:
                     "Scenario rows solved through the batched kernels",
                 ).inc(len(live), analysis=cfg.analysis)
 
-        # Metric parity with the scalar loop: screening rows already went
-        # through run_scenario; the dc rows (and error records) have not.
+        # Screening rows already went through run_scenario; the dc rows
+        # (and error records) have not.
         if cfg.analysis == "dc":
-            counter = metrics.counter(
-                "gridmind_scenarios_total", "Scenario evaluations by outcome"
-            )
-            for r in results:
-                counter.inc(analysis=cfg.analysis, converged=r.converged)
+            self._bill(results)
         return results  # type: ignore[return-value]
 
     def _dc_result(
@@ -673,15 +643,7 @@ class _WorkerState:
                     ).inc(n_skipped)
                 record_fallbacks(span, "ac", {"polish-diverged": stalled})
 
-        # Metric parity with the scalar loop for the rows handled here
-        # (error records and warm-converged rows); fallback rows bill
-        # themselves inside run_scenario.
-        counter = metrics.counter(
-            "gridmind_scenarios_total", "Scenario evaluations by outcome"
-        )
-        for r in results:
-            if r is not None:
-                counter.inc(analysis=cfg.analysis, converged=r.converged)
+        self._bill(results)
         return results
 
     def _run_chunk_outages(
@@ -730,13 +692,21 @@ class _WorkerState:
                     span, "outage", Counter(r for r in sol.reasons if r is not None)
                 )
 
-        counter = metrics.counter(
+        self._bill(results)
+        return results
+
+    def _bill(self, results: Iterable[ScenarioResult | None]) -> None:
+        """Metric parity with the scalar loop: count each record once.
+
+        Every path bills the records it produced; ``None`` rows are
+        handed back to :meth:`run_scenario`, which bills them itself.
+        """
+        counter = get_metrics().counter(
             "gridmind_scenarios_total", "Scenario evaluations by outcome"
         )
         for r in results:
             if r is not None:
-                counter.inc(analysis=cfg.analysis, converged=r.converged)
-        return results
+                counter.inc(analysis=self.config.analysis, converged=r.converged)
 
     # ------------------------------------------------------------------
     def run_scenario(self, scenario: Scenario, **hints) -> ScenarioResult:
@@ -746,9 +716,7 @@ class _WorkerState:
             if result.error:
                 span.status = "error"
                 span.error = result.error
-        get_metrics().counter(
-            "gridmind_scenarios_total", "Scenario evaluations by outcome"
-        ).inc(analysis=self.config.analysis, converged=result.converged)
+        self._bill((result,))
         return result
 
     def _run_scenario(self, scenario: Scenario, **hints) -> ScenarioResult:
@@ -959,159 +927,21 @@ class _WorkerState:
         )
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing: one _WorkerState per worker, chunked dispatch
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ChunkOutcome:
-    """One evaluated chunk plus its observability payload.
-
-    What every execution path (serial, per-run pool, shared executor)
-    yields to the runner's fold loop: the results themselves, the
-    worker's identity and wall time (surfaced on ``StudyProgress``), the
-    finished span dicts recorded inside the worker (stitched into the
-    parent trace via :meth:`~repro.instrumentation.trace.Tracer.adopt`),
-    and the worker-local metrics delta (folded into the parent registry
-    via :meth:`~repro.instrumentation.metrics.MetricsRegistry.merge_state`).
-    """
-
-    results: list[ScenarioResult]
-    worker_pid: int = 0
-    wall_s: float = 0.0
-    spans: list[dict] = field(default_factory=list)
-    metrics: dict | None = None
-
-
-def _execute_chunk(
-    state: _WorkerState,
-    scenarios: list[Scenario],
-    trace_ctx: tuple[str, str] | None,
-    collect_metrics: bool,
-) -> ChunkOutcome:
-    """Evaluate one chunk inside a worker process, instrumented.
-
-    ``trace_ctx`` is the dispatcher's serialised span context (``None``
-    for untraced studies — the worker then pays only this check): a
-    private chunk tracer is activated under it, so the ``worker.chunk``
-    span and everything beneath (scenario, solver) reparent correctly
-    once adopted.  ``collect_metrics`` ships the worker-local
-    counter/histogram delta for this chunk back to the parent.
-    """
-    tick = time.perf_counter()
-    # Mirror the dispatcher's collection flag regardless of what registry
-    # this worker inherited at fork time: a worker forked during an
-    # untraced study must still collect for a later metered one, and with
-    # collection off the increments should no-op rather than accumulate
-    # into a registry nobody will ever drain.
-    previous = None
-    if collect_metrics != get_metrics().enabled:
-        previous = set_metrics(MetricsRegistry(enabled=collect_metrics))
-    before = get_metrics().state() if collect_metrics else None
-    try:
-        with worker_trace(trace_ctx) as tracer:
-            with tracer.span("worker.chunk", n_scenarios=len(scenarios)):
-                results = state.run_chunk(scenarios)
-        delta = (
-            state_delta(get_metrics().state(), before)
-            if collect_metrics
-            else None
-        )
-    finally:
-        if previous is not None:
-            set_metrics(previous)
-    return ChunkOutcome(
-        results=results,
-        worker_pid=os.getpid(),
-        wall_s=time.perf_counter() - tick,
-        spans=tracer.drain_dicts(),
-        metrics=delta,
-    )
-
-
-_WORKER: _WorkerState | None = None
-
-
-def _init_worker(base: Network, config: StudyConfig) -> None:
-    global _WORKER
-    _WORKER = _WorkerState(base, config)
-
-
-def _run_chunk(
-    scenarios: list[Scenario],
-    trace_ctx: tuple[str, str] | None = None,
-    collect_metrics: bool = True,
-) -> ChunkOutcome:
-    assert _WORKER is not None, "worker used before initialisation"
-    return _execute_chunk(_WORKER, scenarios, trace_ctx, collect_metrics)
-
-
-def default_chunk_size(total: int | None, n_jobs: int) -> int:
-    """~4 chunks per worker for sized ensembles, capped at the stream stride."""
-    if total is None:
-        return DEFAULT_STREAM_CHUNK
-    return max(1, min(math.ceil(total / (max(1, n_jobs) * 4)), DEFAULT_STREAM_CHUNK))
-
-
-def iter_chunks(
-    scenarios: Iterable[Scenario], chunk: int
-) -> Iterator[list[Scenario]]:
-    """Order-preserving dispatch chunks drawn lazily from the stream."""
-    if chunk < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk}")
-    it = iter(scenarios)
-    while batch := list(itertools.islice(it, chunk)):
-        yield batch
-
-
-def windowed_map(
-    submit: Callable[[list[Scenario]], object],
-    chunks: Iterator[list[Scenario]],
-    window: int,
-) -> Iterator[ChunkOutcome]:
-    """Submit chunks with at most ``window`` in flight; yield results in order.
-
-    The backpressure loop for the runner's per-run pool path: the
-    scenario stream is advanced only as completed chunks drain, so
-    neither the pending futures nor the undispatched ensemble ever
-    materialise.  (:meth:`repro.service.executor.StudyExecutor
-    .run_study_iter` implements the same discipline inline, where
-    submission must interleave with the shared pool's lock and
-    broken-pool bookkeeping.)
-    """
-    if window < 1:
-        raise ValueError(f"in-flight window must be >= 1, got {window}")
-    pending: deque = deque()
-    try:
-        for chunk in itertools.islice(chunks, window):
-            pending.append(submit(chunk))
-        while pending:
-            results = pending.popleft().result()
-            nxt = next(chunks, None)
-            if nxt is not None:
-                pending.append(submit(nxt))
-            yield results
-    finally:
-        # Early consumer exit must not leave queued chunks running.
-        for future in pending:
-            future.cancel()
-
-
 @dataclass
 class BatchStudyRunner:
-    """Execute scenario streams with optional process-pool parallelism.
+    """Execute scenario streams in-process or on a process pool.
 
-    ``n_jobs <= 1`` runs in-process through the exact same worker-state
-    code path, so parallel and serial studies produce identical results.
-    ``chunk_size`` controls dispatch granularity (default: ~4 chunks per
-    worker, balancing load against per-chunk pickling overhead).
-
-    ``executor`` injects a long-lived shared pool (duck-typed to
-    :class:`repro.service.executor.StudyExecutor`): when set, chunks are
-    routed through it instead of spawning a per-``run()`` pool, so
-    back-to-back studies amortise worker start-up.  The executor decides
-    its own worker count; ``n_jobs`` is ignored on that path.
+    Pooled chunks always go through a
+    :class:`~repro.scenarios.executor.StudyExecutor`.  ``executor``
+    injects a long-lived shared one (the service layer's), so
+    back-to-back studies amortise worker start-up; it decides its own
+    worker count and ``n_jobs`` is ignored.  Without one, ``n_jobs > 1``
+    creates an ephemeral executor owned by the ``run()`` call and shut
+    down when it ends, and ``n_jobs <= 1`` runs in-process.  Every path
+    evaluates chunks with the same worker-state code, so pooled and
+    serial studies produce identical results.  ``chunk_size`` controls
+    dispatch granularity (default: ~4 chunks per worker, balancing load
+    against per-chunk pickling overhead).
 
     Streaming controls:
 
@@ -1132,8 +962,8 @@ class BatchStudyRunner:
     vmax: float = 1.06
     ac_budget: int = 20
     top_n: int = 5
-    executor: object | None = None  # shared StudyExecutor (service layer)
-    window: int | None = None  # max in-flight chunks (pool paths)
+    executor: StudyExecutor | None = None  # shared pool (service layer)
+    window: int | None = None  # max in-flight chunks (pooled studies)
     worst_k: int = DEFAULT_WORST_K
     #: Tag dimensions for sliced aggregation: a tuple of tag names, or a
     #: comma-separated string of names/aliases ("hour, zone") which is
@@ -1188,7 +1018,7 @@ class BatchStudyRunner:
         # Generator bodies run in the *caller's* context, so these live
         # ``worker.chunk`` spans parent under whatever span the fold loop
         # holds open when it draws the next chunk — same tree shape as
-        # the pool paths, without serialising anything.
+        # the pooled path, without serialising anything.
         tracer = get_tracer()
         state = _WorkerState(base.copy(), config)
         for chunk_scns in iter_chunks(scenarios, chunk):
@@ -1199,30 +1029,6 @@ class BatchStudyRunner:
                 results=results,
                 worker_pid=os.getpid(),
                 wall_s=time.perf_counter() - tick,
-            )
-
-    def _pool_chunks(
-        self,
-        base: Network,
-        config: StudyConfig,
-        scenarios,
-        chunk: int,
-        jobs: int,
-        window: int,
-    ) -> Iterator[ChunkOutcome]:
-        collect = get_metrics().enabled
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(base, config)
-        ) as pool:
-            # Trace context is captured per submission: submissions are
-            # driven by the consumer draining chunks, so they see the
-            # fold loop's active dispatch span.
-            yield from windowed_map(
-                lambda c: pool.submit(
-                    _run_chunk, c, current_trace_context(), collect
-                ),
-                iter_chunks(scenarios, chunk),
-                window,
             )
 
     # ------------------------------------------------------------------
@@ -1245,50 +1051,32 @@ class BatchStudyRunner:
         scenarios = as_stream(scenarios)
         total = stream_length(scenarios)
 
-        if self.executor is not None and (total is None or total >= 2):
-            jobs = getattr(self.executor, "max_workers", 1)
+        executor = owned = None
+        if total is None or total >= 2:
+            if self.executor is not None:
+                executor = self.executor
+            elif self.n_jobs > 1:
+                executor = owned = StudyExecutor(
+                    max_workers=self.n_jobs if total is None else min(self.n_jobs, total)
+                )
+        if executor is not None:
+            jobs = executor.max_workers
             dispatch_name = "executor.dispatch"
-            # Ask the executor for its chunk/window plan so the residency
-            # bound below accounts for its undrained futures (duck-typed;
-            # executors without one get the per-run defaults).
-            plan = getattr(self.executor, "dispatch_plan", None)
-            if plan is not None:
-                chunk, window = plan(
-                    total, chunk_size=self.chunk_size, window=self.window
-                )
-            else:
-                chunk = self.chunk_size or default_chunk_size(total, jobs)
-                window = max(1, self.window or 2 * jobs)
+            chunk, window = executor.dispatch_plan(
+                total, chunk_size=self.chunk_size, window=self.window
+            )
+            # The residency bound below accounts for undrained futures.
             in_flight_extra = (window - 1) * chunk
-            run_chunks = getattr(self.executor, "run_study_chunks", None)
-            if run_chunks is not None:
-                chunk_iter = run_chunks(
-                    base, config, scenarios,
-                    chunk_size=self.chunk_size, window=self.window,
-                )
-            else:  # duck-typed executor without the instrumented API
-                chunk_iter = (
-                    ChunkOutcome(results=r)
-                    for r in self.executor.run_study_iter(
-                        base, config, scenarios,
-                        chunk_size=self.chunk_size, window=self.window,
-                    )
-                )
-        elif self.n_jobs <= 1 or (total is not None and total < 2):
+            chunk_iter = executor.run_study_chunks(
+                base, config, scenarios,
+                chunk_size=self.chunk_size, window=self.window,
+            )
+        else:
             jobs = 1
             dispatch_name = "serial.dispatch"
             chunk = self.chunk_size or default_chunk_size(total, 1)
             in_flight_extra = 0
             chunk_iter = self._serial_chunks(base, config, scenarios, chunk)
-        else:
-            jobs = self.n_jobs if total is None else min(self.n_jobs, total)
-            dispatch_name = "pool.dispatch"
-            chunk = self.chunk_size or default_chunk_size(total, jobs)
-            window = max(1, self.window or 2 * jobs)
-            in_flight_extra = (window - 1) * chunk
-            chunk_iter = self._pool_chunks(
-                base, config, scenarios, chunk, jobs, window
-            )
 
         # The dimensional reducer degenerates to the plain global one for
         # an empty slice spec, so every study takes the same path.
@@ -1303,9 +1091,15 @@ class BatchStudyRunner:
         # The dispatch span is held open by *this* consumer loop: chunk
         # iterators are generators, so every submission they make while
         # being drained captures this span as the remote parent — which
-        # is how worker-chunk spans end up parented under it.
+        # is how worker-chunk spans end up parented under it.  On any exit
+        # the chunk iterator closes first (cancelling queued chunks), then
+        # an executor this run owns shuts down with its workers.
         with tracer.span("study.run", analysis=self.analysis, case=base.name) as root:
-            with tracer.span(dispatch_name, n_jobs=jobs):
+            with (
+                tracer.span(dispatch_name, n_jobs=jobs),
+                owned or nullcontext(),
+                closing(chunk_iter),
+            ):
                 for outcome in chunk_iter:
                     chunk_results = outcome.results
                     n_done += len(chunk_results)

@@ -6,8 +6,8 @@ process-pool lifecycle, cross-session result store):
 * :mod:`repro.service.api` — typed request/response envelopes
   (``AskRequest``/``AskReply``/``StudyRequest``/``StudyReply``) plus
   order-independent per-session seed derivation,
-* :mod:`repro.service.executor` — :class:`StudyExecutor`, one long-lived
-  process pool shared by every batch study,
+* :class:`StudyExecutor` (from :mod:`repro.scenarios.executor`) — one
+  long-lived process pool shared by every batch study,
 * :mod:`repro.service.store` — :class:`ResultStore`, content-addressed
   on-disk persistence of full per-scenario result sets,
 * :mod:`repro.service.service` — :class:`GridMindService`, the asyncio
@@ -30,6 +30,7 @@ Quickstart::
     asyncio.run(main())
 """
 
+from ..scenarios.executor import StudyExecutor
 from .api import (
     STUDY_KINDS,
     AskReply,
@@ -43,7 +44,6 @@ from .api import (
     derive_session_seed,
     thin_progress,
 )
-from .executor import StudyExecutor
 from .service import GridMindService, ServiceClosed, SessionNotFound
 from .store import ResultStore, StoredStudyMeta, StudyNotFound
 

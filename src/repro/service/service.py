@@ -8,7 +8,7 @@ is the top of that stack.  One service owns
   same session are serialised (a conversation is a sequence), while
   turns addressed to different sessions run concurrently on worker
   threads,
-* one shared :class:`~repro.service.executor.StudyExecutor`, so every
+* one shared :class:`~repro.scenarios.executor.StudyExecutor`, so every
   batch study from every session lands on the same warm process pool,
 * optionally one :class:`~repro.service.store.ResultStore`, so study
   result sets persist across sessions and process lifetimes.
@@ -32,6 +32,7 @@ from ..instrumentation.health import HealthMonitor, HealthReport, HealthRule
 from ..instrumentation.metrics import get_metrics, render_prometheus
 from ..instrumentation.rollup import MetricsSampler
 from ..instrumentation.trace import Tracer, get_tracer, set_tracer
+from ..scenarios.executor import StudyExecutor
 from .api import (
     STUDY_KINDS,
     AskReply,
@@ -46,7 +47,6 @@ from .api import (
     derive_session_seed,
     thin_progress,
 )
-from .executor import StudyExecutor
 from .store import ResultStore
 
 

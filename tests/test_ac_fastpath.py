@@ -300,8 +300,8 @@ class TestWarmStarts:
         assert res.iterations <= 1
 
     def test_n_minus_1_with_kernel_matches_plain(self, case14):
-        plain = run_n_minus_1(case14, n_jobs=1)
-        seeded = run_n_minus_1(case14, n_jobs=1, kernel=AcKernel(case14))
+        plain = run_n_minus_1(case14)
+        seeded = run_n_minus_1(case14, kernel=AcKernel(case14))
         assert len(plain.outcomes) == len(seeded.outcomes)
         for p, s in zip(plain.outcomes, seeded.outcomes):
             assert (p.branch_id, p.converged, p.islanded) == (
@@ -333,15 +333,15 @@ class TestCaches:
         k1 = state.ac_kernel_for(case14)
         scaled = Scenario("s", (UniformLoadScale(1.2),)).realize(case14)
         assert state.ac_kernel_for(scaled) is k1
-        assert len(state.ac_kernel_cache) == 1
+        assert len(state.ac_kernels) == 1
 
     def test_ac_kernel_cache_capped(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="powerflow"))
-        state.KERNEL_CACHE_MAX_ENTRIES = 2
+        state.ac_kernels.cap = 2
         for bid in range(4):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
             state.ac_kernel_for(net)
-        assert len(state.ac_kernel_cache) <= 2
+        assert len(state.ac_kernels) <= 2
 
 
 # ----------------------------------------------------------------------

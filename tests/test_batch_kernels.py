@@ -309,23 +309,39 @@ class TestWorkerState:
         state = _WorkerState(case14, StudyConfig(analysis="dc"))
         for scn in monte_carlo_ensemble(n=4, sigma=0.05, seed=2):
             state.run_scenario(scn)
-        assert len(state.kernel_cache) == 1
+        assert len(state.dc_kernels) == 1
 
     def test_factors_cache_capped(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="screening"))
-        state.FACTORS_CACHE_MAX_ENTRIES = 3
+        state.factors.cap = 3
         for bid in range(5):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
             state.factors_for(net)
-        assert len(state.factors_cache) <= 3
+        assert len(state.factors) <= 3
 
     def test_kernel_cache_capped(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="dc"))
-        state.KERNEL_CACHE_MAX_ENTRIES = 2
+        state.dc_kernels.cap = 2
         for bid in range(4):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
             state.kernel_for(net)
-        assert len(state.kernel_cache) <= 2
+        assert len(state.dc_kernels) <= 2
+
+    def test_dropped_state_freed_without_cycle_collector(self, case14):
+        """A worker state (network copy, kernels, factors) is freed as soon
+        as it is dropped, not left for the cyclic garbage collector."""
+        import gc
+        import weakref
+
+        state = _WorkerState(case14, StudyConfig(analysis="screening"))
+        state.factors_for(case14)
+        ref = weakref.ref(state)
+        gc.disable()
+        try:
+            del state
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_batch_counters_and_scenario_parity(self, case14, fresh_metrics):
         scns = list(monte_carlo_ensemble(n=6, sigma=0.05, seed=4))

@@ -1,5 +1,7 @@
 """CLI interface: argument parsing and non-interactive mode."""
 
+import json
+
 import pytest
 
 from repro.core.cli import build_parser, main
@@ -67,3 +69,15 @@ def test_serve_turn_defaults_to_main_session(tmp_path, capsys):
     rc = main(["serve", "--store", str(tmp_path), "--turn", "Solve IEEE 14"])
     assert rc == 0
     assert "[main]" in capsys.readouterr().out
+
+
+def test_study_pooled_aggregate_matches_serial(capsys):
+    """``--jobs 2`` runs on an ephemeral executor and aggregates like serial."""
+    argv = ["study", "--case", "ieee14", "--kind", "monte-carlo", "-n", "24", "--json"]
+    payloads = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    serial, pooled = payloads
+    assert (serial["n_jobs"], pooled["n_jobs"]) == (1, 2)
+    assert pooled["aggregate"] == serial["aggregate"]

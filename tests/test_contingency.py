@@ -78,17 +78,6 @@ class TestSweep:
         rep = run_n_minus_1(case118)
         assert 110.0 <= rep.max_overload_percent <= 175.0
 
-    def test_parallel_matches_serial(self, case30):
-        serial = run_n_minus_1(case30, n_jobs=1)
-        parallel = run_n_minus_1(case30, n_jobs=2)
-        assert parallel.n_jobs >= 1
-        for a, b in zip(serial.outcomes, parallel.outcomes):
-            assert a.branch_id == b.branch_id
-            assert a.converged == b.converged
-            assert a.max_loading_percent == pytest.approx(
-                b.max_loading_percent, rel=1e-9
-            )
-
     def test_worst_returns_most_severe(self, case118):
         rep = run_n_minus_1(case118)
         worst = rep.worst(3)

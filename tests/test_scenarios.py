@@ -193,6 +193,28 @@ class TestRunner:
         assert [r.name for r in serial.results] == [r.name for r in parallel.results]
         assert serial.aggregate().to_dict() == parallel.aggregate().to_dict()
 
+    def test_pooled_run_leaves_no_workers_behind(self, case14):
+        """The run's own executor shuts down on return and on raise."""
+        import multiprocessing
+        import os
+
+        before = set(multiprocessing.active_children())
+        scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=9)
+        runner = BatchStudyRunner(analysis="dc", n_jobs=2, chunk_size=2)
+        runner.run(case14, scns)
+        assert set(multiprocessing.active_children()) <= before
+
+        pids = []
+
+        def give_up(progress):
+            pids.append(progress.worker_pid)
+            raise RuntimeError("consumer gave up")
+
+        with pytest.raises(RuntimeError, match="consumer gave up"):
+            runner.run(case14, scns, progress=give_up)
+        assert pids and pids[0] != os.getpid()  # a pool worker ran the chunk
+        assert set(multiprocessing.active_children()) <= before
+
     def test_to_dict_is_json_ready(self, case14):
         import json
 

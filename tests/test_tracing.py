@@ -38,9 +38,8 @@ from repro.instrumentation.trace import (
     worker_trace,
 )
 from repro.scenarios import BatchStudyRunner, load_sweep
-from repro.service import GridMindService
+from repro.service import GridMindService, StudyExecutor
 from repro.service.api import StudyRequest
-from repro.service.executor import StudyExecutor
 from repro.service.store import ResultStore, StudyNotFound
 
 
@@ -428,7 +427,7 @@ class TestStudyTracePropagation:
         names = _by_name(spans)
         assert _LAYERS <= set(names)
         assert len({s.trace_id for s in spans}) == 1
-        (dispatch,) = names["pool.dispatch"]
+        (dispatch,) = names["executor.dispatch"]
         chunks = names["worker.chunk"]
         assert all(c.parent_id == dispatch.span_id for c in chunks)
         # The chunk spans really came from other processes.
