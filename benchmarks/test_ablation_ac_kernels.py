@@ -38,7 +38,7 @@ from repro.instrumentation.metrics import (
     MetricsRegistry,
     set_metrics,
 )
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 
 CASE = "ieee118"
 SIGMA = 0.05
@@ -53,8 +53,8 @@ def _timed(net, scns, chunk, *, ac_mode, fd_sweeps):
     try:
         tick = time.perf_counter()
         study = BatchStudyRunner(
-            analysis="powerflow", chunk_size=chunk,
-            ac_mode=ac_mode, ac_fd_sweeps=fd_sweeps,
+            StudyConfig(analysis="powerflow", ac_mode=ac_mode, ac_fd_sweeps=fd_sweeps),
+            chunk_size=chunk,
         ).run(net, scns)
         wall = time.perf_counter() - tick
     finally:

@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 
 CASE = "ieee118"
 SIGMA = 0.05
@@ -46,7 +46,7 @@ def _records(study):
 def _timed(analysis, net, scns, chunk, batch, **kw):
     tick = time.perf_counter()
     study = BatchStudyRunner(
-        analysis=analysis, chunk_size=chunk, batch_kernels=batch, **kw
+        StudyConfig(analysis=analysis, batch_kernels=batch, **kw), chunk_size=chunk
     ).run(net, scns)
     return study, time.perf_counter() - tick
 

@@ -38,7 +38,7 @@ from repro.grid.cases import load_case
 from repro.instrumentation.health import HealthMonitor
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.instrumentation.rollup import MetricsSampler
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 CASE = "ieee14"
@@ -90,7 +90,10 @@ def _run_once(executor, mode: str):
     net = load_case(CASE)
     scenarios = monte_carlo_ensemble(n=N_SCENARIOS, sigma=0.05, seed=42)
     runner = BatchStudyRunner(
-        analysis="powerflow", executor=executor, chunk_size=CHUNK, window=WINDOW
+        StudyConfig(analysis="powerflow"),
+        executor=executor,
+        chunk_size=CHUNK,
+        window=WINDOW,
     )
     registry = MetricsRegistry()
     previous = set_metrics(registry)
@@ -116,7 +119,7 @@ def test_ablation_health(benchmark):
     samplers: dict[str, _SamplerThread | None] = {}
 
     def _run_all():
-        with StudyExecutor(max_workers=JOBS, window=WINDOW) as executor:
+        with StudyExecutor(max_workers=JOBS) as executor:
             _run_once(executor, "metrics")  # warm the pool
             for repeat in range(REPEATS):
                 for mode in MODES[repeat % len(MODES):] + MODES[: repeat % len(MODES)]:

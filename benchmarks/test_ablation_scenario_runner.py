@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 
 CASE = "ieee57"
 N_SCENARIOS = 96
@@ -29,8 +29,8 @@ def _run_all():
     scenarios = monte_carlo_ensemble(n=N_SCENARIOS, sigma=SIGMA, seed=11)
     jobs = min(4, os.cpu_count() or 1)
 
-    serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(net, scenarios)
-    parallel = BatchStudyRunner(analysis="powerflow", n_jobs=max(jobs, 2)).run(
+    serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(net, scenarios)
+    parallel = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=max(jobs, 2)).run(
         net, scenarios
     )
     return serial, parallel, jobs

@@ -38,6 +38,7 @@ from repro.scenarios import (
     BatchStudyRunner,
     SlicedReducer,
     SliceSpec,
+    StudyConfig,
     StudyReducer,
     aggregate_study,
     daily_profile,
@@ -101,7 +102,7 @@ def _put_study(store, net, runner, scenarios, results, label):
         slice_spec=SLICE_SPEC,
     )
     return store.put(
-        net, runner.config(), list(scenarios), study,
+        net, runner.config, list(scenarios), study,
         study_kind="profile", label=label,
     )
 
@@ -114,9 +115,11 @@ def test_ablation_slicing(benchmark, tmp_path):
     results_b = _synth_results(scenarios_b)
     store = ResultStore(tmp_path / "store")
     runner = BatchStudyRunner(
-        analysis="powerflow",
-        slice_by=SLICE_SPEC.by,
-        slice_max_values=SLICE_SPEC.max_values,
+        StudyConfig(
+            analysis="powerflow",
+            slice_by=SLICE_SPEC.by,
+            slice_max_values=SLICE_SPEC.max_values,
+        )
     )
 
     def _run_all():

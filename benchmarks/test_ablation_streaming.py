@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 CASE = "ieee14"
@@ -44,7 +44,7 @@ def _run(executor, keep: bool):
     scenarios = monte_carlo_ensemble(n=N_SCENARIOS, sigma=0.05, seed=42)
     events = []
     runner = BatchStudyRunner(
-        analysis="powerflow",
+        StudyConfig(analysis="powerflow"),
         executor=executor,
         chunk_size=CHUNK,
         window=WINDOW,
@@ -63,7 +63,7 @@ def _run(executor, keep: bool):
 
 def test_ablation_streaming(benchmark):
     def _run_all():
-        with StudyExecutor(max_workers=JOBS, window=WINDOW) as executor:
+        with StudyExecutor(max_workers=JOBS) as executor:
             # Warm the pool (and its content-addressed worker state) so
             # neither phase pays start-up; run materialized first.
             mat = _run(executor, keep=True)

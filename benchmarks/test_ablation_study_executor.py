@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 CASE = "ieee57"
@@ -48,7 +48,7 @@ def _run_all():
 
     tick = time.perf_counter()
     per_run = [
-        BatchStudyRunner(analysis="powerflow", n_jobs=JOBS).run(net, scns)
+        BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=JOBS).run(net, scns)
         for scns in ensembles
     ]
     per_run_s = time.perf_counter() - tick
@@ -56,7 +56,7 @@ def _run_all():
     with StudyExecutor(max_workers=JOBS) as executor:
         tick = time.perf_counter()
         shared = [
-            BatchStudyRunner(analysis="powerflow", executor=executor).run(net, scns)
+            BatchStudyRunner(StudyConfig(analysis="powerflow"), executor=executor).run(net, scns)
             for scns in ensembles
         ]
         shared_s = time.perf_counter() - tick

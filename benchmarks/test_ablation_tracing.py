@@ -35,7 +35,7 @@ from _report import emit, fmt_row
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.instrumentation.trace import tracing
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 CASE = "ieee14"
@@ -61,8 +61,10 @@ def _run_once(executor, mode: str):
     # measures the per-scenario span/metrics machinery, which the warm
     # AC kernel (one chunk-level span per batch) deliberately bypasses.
     runner = BatchStudyRunner(
-        analysis="powerflow", executor=executor, chunk_size=CHUNK, window=WINDOW,
-        ac_mode="cold",
+        StudyConfig(analysis="powerflow", ac_mode="cold"),
+        executor=executor,
+        chunk_size=CHUNK,
+        window=WINDOW,
     )
     registry = MetricsRegistry(enabled=(mode != "off"))
     previous = set_metrics(registry)
@@ -88,7 +90,7 @@ def test_ablation_tracing(benchmark):
     registries: dict[str, MetricsRegistry] = {}
 
     def _run_all():
-        with StudyExecutor(max_workers=JOBS, window=WINDOW) as executor:
+        with StudyExecutor(max_workers=JOBS) as executor:
             # Warm the pool + content-addressed worker state so no mode
             # pays start-up.
             _run_once(executor, "off")

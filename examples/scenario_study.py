@@ -19,6 +19,7 @@ import os
 from repro import GridMindSession, load_case
 from repro.scenarios import (
     BatchStudyRunner,
+    StudyConfig,
     load_sweep,
     monte_carlo_ensemble,
 )
@@ -52,8 +53,8 @@ def programmatic_study() -> None:
     scenarios = monte_carlo_ensemble(n=200, sigma=0.05, seed=7)
 
     jobs = min(4, os.cpu_count() or 1)
-    serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(net, scenarios)
-    parallel = BatchStudyRunner(analysis="powerflow", n_jobs=jobs).run(net, scenarios)
+    serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(net, scenarios)
+    parallel = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=jobs).run(net, scenarios)
     assert serial.aggregate().to_dict() == parallel.aggregate().to_dict()
 
     agg = serial.aggregate()
@@ -77,7 +78,7 @@ def screening_stability_study() -> None:
     print("Which contingencies stay critical across a load sweep? (ieee57)")
     print("=" * 70)
     net = load_case("ieee57")
-    study = BatchStudyRunner(analysis="screening", ac_budget=15, top_n=5).run(
+    study = BatchStudyRunner(StudyConfig(analysis="screening", ac_budget=15, top_n=5)).run(
         net, load_sweep(0.8, 1.2, 9)
     )
     agg = study.aggregate()

@@ -27,6 +27,7 @@ from repro import load_case
 from repro.llm.narration import narrate_study
 from repro.scenarios import (
     BatchStudyRunner,
+    StudyConfig,
     daily_profile,
     monte_carlo_ensemble,
     uniform_correlation,
@@ -42,7 +43,8 @@ def main() -> None:
     net = load_case("ieee14")
     scenarios = daily_profile(steps=STEPS)
     runner = BatchStudyRunner(
-        analysis="dcopf", n_jobs=1, slice_by=("hour_of_day",)
+        StudyConfig(analysis="dcopf", slice_by=("hour_of_day",)),
+        n_jobs=1,
     )
     study = runner.run(net, scenarios, keep_results=False)
     agg = study.aggregate().to_dict()
@@ -75,7 +77,7 @@ def main() -> None:
     corr = uniform_correlation(4, 0.6)
     mc = monte_carlo_ensemble(n=200, sigma=0.08, seed=7, correlation=corr)
     study2 = BatchStudyRunner(
-        analysis="powerflow", slice_by=("hot_zone",)
+        StudyConfig(analysis="powerflow", slice_by=("hot_zone",)),
     ).run(net, mc, keep_results=False)
     for cell in study2.aggregate().to_dict()["slices"]["hot_zone"]["cells"]:
         loading = cell.get("loading_stats") or {}

@@ -7,8 +7,8 @@ more than a bounded window of results:
 
 * the Monte Carlo family expands lazily (a :class:`ScenarioStream`, not
   a 10k-element list),
-* the shared :class:`StudyExecutor` keeps a bounded in-flight chunk
-  window (backpressure against the pool),
+* the runner keeps a bounded window of chunks in flight on the shared
+  :class:`StudyExecutor` (backpressure against the pool),
 * completed chunks fold into the online :class:`StudyReducer` — exact
   counters and rates, P2 percentile sketches past the exact-buffer cap —
   and are dropped,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 
 from repro import load_case
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
@@ -52,9 +52,12 @@ def main() -> None:
     scenarios = monte_carlo_ensemble(n=N, sigma=0.05, seed=42)
     print(f"scenario family: {scenarios!r}  (lazy — nothing expanded yet)")
 
-    with StudyExecutor(max_workers=2, window=WINDOW) as executor:
+    with StudyExecutor(max_workers=2) as executor:
         runner = BatchStudyRunner(
-            analysis="powerflow", executor=executor, chunk_size=CHUNK
+            StudyConfig(analysis="powerflow"),
+            executor=executor,
+            chunk_size=CHUNK,
+            window=WINDOW,
         )
         study = runner.run(
             net, scenarios, progress=progress_line, keep_results=False

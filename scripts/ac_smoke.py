@@ -32,7 +32,7 @@ import sys
 
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 
 ATOL = 1e-6
@@ -50,7 +50,8 @@ def run_study(net, scns, *, mode: str):
     set_metrics(registry)
     with StudyExecutor(max_workers=2) as executor:
         study = BatchStudyRunner(
-            analysis="powerflow", executor=executor, ac_mode=mode
+            StudyConfig(analysis="powerflow", ac_mode=mode),
+            executor=executor,
         ).run(net, scns)
     return study, registry
 

@@ -29,7 +29,7 @@ import sys
 
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
-from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 from repro.service import StudyExecutor
 from repro.service.store import _results_digest
 
@@ -46,7 +46,8 @@ def run_study(net, scns, *, batch: bool):
     set_metrics(registry)
     with StudyExecutor(max_workers=2) as executor:
         study = BatchStudyRunner(
-            analysis="dc", executor=executor, batch_kernels=batch
+            StudyConfig(analysis="dc", batch_kernels=batch),
+            executor=executor,
         ).run(net, scns)
     return study, registry
 

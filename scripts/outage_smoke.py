@@ -34,7 +34,7 @@ from repro.grid import graph as gridgraph
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.powerflow import solve_newton
-from repro.scenarios import BatchStudyRunner
+from repro.scenarios import BatchStudyRunner, StudyConfig
 from repro.scenarios.generators import outage_combinations
 from repro.service import StudyExecutor
 
@@ -100,7 +100,8 @@ def run_study(net, scns, *, mode: str):
     set_metrics(registry)
     with StudyExecutor(max_workers=2) as executor:
         study = BatchStudyRunner(
-            analysis="powerflow", executor=executor, ac_mode=mode
+            StudyConfig(analysis="powerflow", ac_mode=mode),
+            executor=executor,
         ).run(net, scns)
     return study, registry
 

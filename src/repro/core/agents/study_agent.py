@@ -31,8 +31,8 @@ from pydantic import BaseModel, Field
 
 from ...llm.base import LLMBackend
 from ...scenarios import (
-    ANALYSES,
     BatchStudyRunner,
+    StudyConfig,
     daily_profile,
     load_sweep,
     monte_carlo_ensemble,
@@ -150,11 +150,12 @@ class ProfileStudyArgs(BaseModel):
     slice_by: str = Field(default="", description=_SLICE_BY_DESCRIPTION)
 
 
-def _check_analysis(analysis: str) -> None:
-    if analysis not in ANALYSES:
-        raise ToolError(
-            f"unknown analysis {analysis!r}; use one of {sorted(ANALYSES)}"
-        )
+def _study_config(**knobs) -> StudyConfig:
+    """The tool call's :class:`StudyConfig`; invalid knobs are tool errors."""
+    try:
+        return StudyConfig(**knobs)
+    except ValueError as exc:
+        raise ToolError(str(exc)) from exc
 
 
 def build_study_registry(
@@ -181,16 +182,16 @@ def build_study_registry(
         slice_by: str = "",
         n_zones: int = 0,
     ) -> dict:
-        _check_analysis(analysis)
         # "" infers the family's natural slice dimension ('hour' for
         # profiles, 'scale' for sweeps, 'hot_zone' for zonal draws),
         # "none" disables slicing, and anything else names dimensions.
-        slices = resolve_slice_by(slice_by or None, kind, n_zones=n_zones)
+        config = _study_config(
+            analysis=analysis,
+            slice_by=resolve_slice_by(slice_by or None, kind, n_zones=n_zones),
+        )
         t0 = time.perf_counter()
         net = context.activate_case(case_name)
-        runner = BatchStudyRunner(
-            analysis=analysis, n_jobs=n_jobs, executor=executor, slice_by=slices
-        )
+        runner = BatchStudyRunner(config, n_jobs=n_jobs, executor=executor)
         # Results stream through the online reducer chunk by chunk; the
         # full record list is retained only when a store will persist it.
         # The no-op callback turns on per-chunk progress accounting, so
@@ -200,11 +201,11 @@ def build_study_registry(
         )
         payload = study.to_dict(max_scenarios=5)
         payload["study_kind"] = kind
-        if slices:
-            payload["slice_by"] = list(slices)
+        if config.slice_by:
+            payload["slice_by"] = list(config.slice_by)
         if store is not None:
             payload["study_key"] = store.put(
-                net, runner.config(), scenarios, study, study_kind=kind
+                net, config, scenarios, study, study_kind=kind
             )
         context.study_summary = payload
         context.record_provenance(
@@ -332,7 +333,7 @@ def build_study_registry(
         # never watch a feed, mirroring the service's lazy wiring.
         from ...telemetry import AnomalySpec, run_watch
 
-        _check_analysis(analysis)
+        _study_config(analysis=analysis)  # validate before the watch starts
         t0 = time.perf_counter()
         net = context.activate_case(case_name)
         anomaly = None

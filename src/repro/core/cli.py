@@ -50,6 +50,7 @@ import json
 import sys
 
 from ..llm.profiles import PAPER_MODELS
+from ..scenarios.runner import ANALYSES
 from .session import GridMindSession
 
 _BANNER = r"""
@@ -120,21 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario count: draws (monte-carlo), steps (sweep/profile), "
         "combination cap (outage)",
     )
-    study.add_argument(
-        "--analysis",
-        choices=("powerflow", "dc", "dcopf", "acopf", "screening", "scopf"),
-        default="powerflow",
-    )
+    study.add_argument("--analysis", choices=ANALYSES, default="powerflow")
     study.add_argument("--jobs", type=int, default=1, help="worker processes")
-    study.add_argument(
-        "--ac-mode",
-        choices=("warm", "cold"),
-        default="warm",
-        help="powerflow studies: 'warm' routes injection-only chunks "
-        "through the topology-cached AC kernel (warm-started Newton + "
-        "fast-decoupled correctors); 'cold' forces the legacy "
-        "per-scenario solve",
-    )
     study.add_argument(
         "--progress",
         action="store_true",
@@ -502,7 +490,7 @@ def run_study(args) -> int:
     """
     from contextlib import ExitStack
 
-    from ..scenarios import BatchStudyRunner, resolve_slice_by
+    from ..scenarios import BatchStudyRunner, StudyConfig, resolve_slice_by
 
     progress = None
     if args.progress or _supports_color(sys.stderr):
@@ -514,15 +502,12 @@ def run_study(args) -> int:
                 from ..instrumentation.trace import Tracer, tracing
 
                 tracer = stack.enter_context(tracing(Tracer()))
-            slice_by = resolve_slice_by(args.slice_by, args.kind, n_zones=args.zones)
-            net, scenarios = _build_study_scenarios(args)
-            runner = BatchStudyRunner(
+            config = StudyConfig(
                 analysis=args.analysis,
-                n_jobs=args.jobs,
-                slice_by=slice_by,
-                ac_mode=getattr(args, "ac_mode", "warm"),
+                slice_by=resolve_slice_by(args.slice_by, args.kind, n_zones=args.zones),
             )
-            study = runner.run(
+            net, scenarios = _build_study_scenarios(args)
+            study = BatchStudyRunner(config, n_jobs=args.jobs).run(
                 net, scenarios, progress=progress, keep_results=args.keep_results
             )
     except (KeyError, ValueError) as exc:

@@ -9,8 +9,10 @@ inspect impacts") made batch-first:
 * :mod:`repro.scenarios.generators` — families (sweep, Monte Carlo, LHS,
   N-2 combinations, daily profile, factorial crosses) expanded lazily
   from compact descriptions,
-* :mod:`repro.scenarios.runner` — :class:`BatchStudyRunner` with
-  bounded-window streaming dispatch and per-worker cache reuse,
+* :mod:`repro.scenarios.runner` — :class:`StudyConfig`, the one
+  validated definition of a study, and :class:`BatchStudyRunner`, which
+  runs it with bounded-window streaming dispatch and per-worker cache
+  reuse,
 * :mod:`repro.scenarios.executor` — ``StudyExecutor``, the one
   process-pool dispatcher (shared by the service or ephemeral per run),
 * :mod:`repro.scenarios.aggregate` — online :class:`StudyReducer`
@@ -20,9 +22,10 @@ inspect impacts") made batch-first:
 Quickstart::
 
     from repro import load_case
-    from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+    from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
 
-    study = BatchStudyRunner(analysis="powerflow", n_jobs=4).run(
+    runner = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=4)
+    study = runner.run(
         load_case("ieee118"), monte_carlo_ensemble(n=200, sigma=0.05, seed=1)
     )
     print(study.aggregate().to_dict())

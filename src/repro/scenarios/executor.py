@@ -226,16 +226,8 @@ class StudyExecutor:
     #: undispatched work (or undrained results) into parent memory.
     WINDOW_PER_WORKER = 2
 
-    def __init__(
-        self,
-        max_workers: int = 2,
-        chunk_size: int | None = None,
-        window: int | None = None,
-        retries: int = 0,
-    ) -> None:
+    def __init__(self, max_workers: int = 2, retries: int = 0) -> None:
         self.max_workers = max(1, int(max_workers))
-        self.chunk_size = chunk_size
-        self.window = window
         #: Broken-pool retry budget per chunk.  ``0`` (the default)
         #: preserves the historical contract: a worker death poisons the
         #: study, the pool is replaced, and the *next* study starts
@@ -292,10 +284,8 @@ class StudyExecutor:
         dispatch is what makes tag-sliced aggregation bit-equal across
         serial, pooled, and streamed execution.
         """
-        chunk = chunk_size or self.chunk_size or default_chunk_size(total, self.max_workers)
-        window = max(
-            1, window or self.window or self.WINDOW_PER_WORKER * self.max_workers
-        )
+        chunk = chunk_size or default_chunk_size(total, self.max_workers)
+        window = max(1, window or self.WINDOW_PER_WORKER * self.max_workers)
         return chunk, window
 
     def run_study_chunks(

@@ -45,7 +45,7 @@ import os
 import time
 from collections import Counter
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -265,14 +265,15 @@ class StudyResult:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Per-study analysis knobs, shipped once to each worker.
+    """The one definition of a batch study, validated on construction.
 
-    ``slice_by``/``slice_max_values`` declare the study's dimensional
-    aggregation (see :class:`~repro.scenarios.aggregate.SliceSpec`); the
-    parent-side reducer consumes them.  They ride along here so one
-    validated bundle carries the whole study definition, but the store's
-    spec hash deliberately excludes them — slicing shapes the derived
-    aggregate index, not the per-scenario results.
+    Front ends (service requests, the CLI, the study agent) build one;
+    :class:`BatchStudyRunner` runs it and ships it once to each worker.
+    ``metadata["hash"]`` on a field declares whether the store's spec
+    hash covers it: absent means always, ``False`` never, an analysis
+    name only for that analysis.  Only knobs that cannot change the
+    per-scenario records stay out, so re-running the same physics
+    addresses the same store entry.
     """
 
     analysis: str = "powerflow"
@@ -281,31 +282,47 @@ class StudyConfig:
     vmax: float = 1.06
     ac_budget: int = 20
     top_n: int = 5
-    slice_by: tuple[str, ...] = ()
-    slice_max_values: int = DEFAULT_SLICE_MAX_VALUES
-    #: Route injection-only chunks of the linear analyses ("dc",
-    #: "screening") through the batched kernels.  Results are
-    #: bit-identical either way (the ablation's point), so the store's
-    #: spec hash excludes this knob exactly like the ``slice_*`` pair.
-    batch_kernels: bool = True
-    #: AC ensemble mode for ``analysis="powerflow"``: "warm" routes
-    #: injection-only chunks through the topology-cached AC kernel
-    #: (vectorized warm-start screen, fast-decoupled correctors,
-    #: warm-started Newton polish); "cold" forces the exact legacy
-    #: per-scenario solve.  Excluded from the store's spec hash like
-    #: ``batch_kernels`` — the parity contract (identical converged
-    #: flags and violation sets, aggregates within 1e-6) means toggling
-    #: it must not mint a second store entry.
-    ac_mode: str = "warm"
-    #: Fast-decoupled corrector half-iteration sweeps the warm AC path
-    #: runs before the Newton polish (0 disables the corrector tier).
-    #: Sweeps are multi-RHS triangular solves — near-free next to a
-    #: Jacobian build — so the default runs enough of them that the
-    #: Newton polish usually reduces to a single mismatch check.
-    ac_fd_sweeps: int = 8
+    #: Dimensional aggregation (see :class:`SliceSpec`).  It shapes the
+    #: derived aggregate index, never the records: re-slicing refreshes
+    #: one store entry, and keys minted before slicing keep matching.
+    slice_by: tuple[str, ...] = field(default=(), metadata={"hash": False})
+    slice_max_values: int = field(default=DEFAULT_SLICE_MAX_VALUES, metadata={"hash": False})
+    #: Route injection-only chunks of "dc"/"screening" through the
+    #: batched kernels; records are bit-identical either way.
+    batch_kernels: bool = field(default=True, metadata={"hash": False})
+    #: "warm" routes injection-only and branch-outage powerflow chunks
+    #: through the topology-cached AC kernel; "cold" forces the exact
+    #: legacy per-scenario solve.  The two agree only under the parity
+    #: contract (aggregates within 1e-6), so powerflow keys hash it.
+    ac_mode: str = field(default="warm", metadata={"hash": "powerflow"})
+    #: Fast-decoupled sweeps the warm AC path runs before its Newton
+    #: polish (0 disables them); enough by default that the polish is
+    #: usually a single mismatch check.
+    ac_fd_sweeps: int = field(default=8, metadata={"hash": "powerflow"})
+
+    def __post_init__(self) -> None:
+        if self.analysis not in ANALYSES:
+            raise ValueError(
+                f"unknown analysis {self.analysis!r}; use one of {ANALYSES}"
+            )
+        if self.ac_mode not in ("warm", "cold"):
+            raise ValueError(
+                f"unknown ac_mode {self.ac_mode!r}; use 'warm' or 'cold'"
+            )
+        # SliceSpec sees the raw value first: it rejects a bare string,
+        # which tuple() would split into one-letter dimensions.
+        object.__setattr__(self, "slice_by", self.slice_spec().by)
 
     def slice_spec(self) -> SliceSpec:
-        return SliceSpec(by=tuple(self.slice_by), max_values=self.slice_max_values)
+        return SliceSpec(by=self.slice_by, max_values=self.slice_max_values)
+
+    def hashed_fields(self) -> dict:
+        """The fields the store's spec hash covers, by name."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("hash", True) in (True, self.analysis)
+        }
 
 
 def _branch_outages(scenario: Scenario) -> frozenset[int]:
@@ -929,9 +946,10 @@ class _WorkerState:
 
 @dataclass
 class BatchStudyRunner:
-    """Execute scenario streams in-process or on a process pool.
+    """Run a :class:`StudyConfig` in-process or on a process pool.
 
-    Pooled chunks always go through a
+    The runner owns dispatch only; ``config`` is the study.  Pooled
+    chunks always go through a
     :class:`~repro.scenarios.executor.StudyExecutor`.  ``executor``
     injects a long-lived shared one (the service layer's), so
     back-to-back studies amortise worker start-up; it decides its own
@@ -954,62 +972,12 @@ class BatchStudyRunner:
       with a :class:`StudyProgress` after every completed chunk.
     """
 
-    analysis: str = "powerflow"
+    config: StudyConfig = field(default_factory=StudyConfig)
     n_jobs: int = 1
     chunk_size: int | None = None
-    overload_threshold: float = 100.0
-    vmin: float = 0.94
-    vmax: float = 1.06
-    ac_budget: int = 20
-    top_n: int = 5
     executor: StudyExecutor | None = None  # shared pool (service layer)
     window: int | None = None  # max in-flight chunks (pooled studies)
     worst_k: int = DEFAULT_WORST_K
-    #: Tag dimensions for sliced aggregation: a tuple of tag names, or a
-    #: comma-separated string of names/aliases ("hour, zone") which is
-    #: parsed through :func:`~repro.scenarios.generators.resolve_slice_by`.
-    slice_by: tuple[str, ...] | str = ()
-    slice_max_values: int = DEFAULT_SLICE_MAX_VALUES
-    #: Batched-kernel fast path for injection-only chunks of the linear
-    #: analyses; off forces the scalar loop (the ablation baseline).
-    batch_kernels: bool = True
-    #: Warm AC fast path for injection-only ``powerflow`` chunks
-    #: ("warm", the default) vs the exact legacy per-scenario solve
-    #: ("cold", the ablation baseline).
-    ac_mode: str = "warm"
-    #: Fast-decoupled corrector sweeps before the warm Newton polish.
-    ac_fd_sweeps: int = 8
-
-    def config(self) -> StudyConfig:
-        """The validated per-study knob bundle shipped to every worker."""
-        if self.analysis not in ANALYSES:
-            raise ValueError(
-                f"unknown analysis {self.analysis!r}; use one of {ANALYSES}"
-            )
-        if self.ac_mode not in ("warm", "cold"):
-            raise ValueError(
-                f"unknown ac_mode {self.ac_mode!r}; use 'warm' or 'cold'"
-            )
-        slice_by = self.slice_by
-        if isinstance(slice_by, str):
-            from .generators import resolve_slice_by
-
-            slice_by = resolve_slice_by(slice_by)
-        config = StudyConfig(
-            analysis=self.analysis,
-            overload_threshold=self.overload_threshold,
-            vmin=self.vmin,
-            vmax=self.vmax,
-            ac_budget=self.ac_budget,
-            top_n=self.top_n,
-            slice_by=tuple(slice_by),
-            slice_max_values=self.slice_max_values,
-            batch_kernels=self.batch_kernels,
-            ac_mode=self.ac_mode,
-            ac_fd_sweeps=self.ac_fd_sweeps,
-        )
-        config.slice_spec()  # validate dimensions/cap before dispatch
-        return config
 
     # ------------------------------------------------------------------
     def _serial_chunks(
@@ -1040,7 +1008,7 @@ class BatchStudyRunner:
         progress: Callable[[StudyProgress], None] | None = None,
         keep_results: bool = True,
     ) -> StudyResult:
-        config = self.config()
+        config = self.config
         tracer = get_tracer()
         metrics = get_metrics()
         start = time.perf_counter()
@@ -1094,7 +1062,7 @@ class BatchStudyRunner:
         # is how worker-chunk spans end up parented under it.  On any exit
         # the chunk iterator closes first (cancelling queued chunks), then
         # an executor this run owns shuts down with its workers.
-        with tracer.span("study.run", analysis=self.analysis, case=base.name) as root:
+        with tracer.span("study.run", analysis=config.analysis, case=base.name) as root:
             with (
                 tracer.span(dispatch_name, n_jobs=jobs),
                 owned or nullcontext(),
@@ -1149,7 +1117,7 @@ class BatchStudyRunner:
 
         metrics.counter(
             "gridmind_studies_total", "Batch studies by analysis"
-        ).inc(analysis=self.analysis)
+        ).inc(analysis=config.analysis)
         record_study()
         metrics.histogram(
             "gridmind_study_seconds", "End-to-end study wall time"
@@ -1157,7 +1125,7 @@ class BatchStudyRunner:
 
         return StudyResult(
             case_name=base.name,
-            analysis=self.analysis,
+            analysis=config.analysis,
             results=kept if kept is not None else [],
             runtime_s=time.perf_counter() - start,
             n_jobs=jobs,

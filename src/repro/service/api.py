@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
-from pydantic import BaseModel, Field
+from pydantic import BaseModel, ConfigDict, Field
 
 from ..scenarios.aggregate import DEFAULT_SLICE_MAX_VALUES
 from ..scenarios.generators import STUDY_FAMILY_KINDS
@@ -38,6 +38,8 @@ def derive_session_seed(service_seed: int, session_id: str) -> int:
 
 class AskRequest(BaseModel):
     """One conversational turn addressed to a named session."""
+
+    model_config = ConfigDict(extra="forbid")
 
     session_id: str = Field(min_length=1, description="target session name")
     text: str = Field(min_length=1, description="natural-language request")
@@ -98,6 +100,8 @@ class StudyRequest(BaseModel):
     shared executor, and persists the result set when a store is attached.
     """
 
+    model_config = ConfigDict(extra="forbid")
+
     case_name: str = Field(description="IEEE case identifier, e.g. 'ieee118'")
     kind: str = Field(default="monte_carlo", description=f"one of {STUDY_KINDS}")
     session_id: str | None = Field(
@@ -145,13 +149,6 @@ class StudyRequest(BaseModel):
         le=512,
         description="per-dimension cardinality cap (overflow folds into __other__)",
     )
-    ac_mode: str = Field(
-        default="warm",
-        description="AC solve strategy: 'warm' batches injection-only "
-        "powerflow chunks through the topology-cached AC kernel, 'cold' "
-        "runs the legacy per-scenario solver (results agree under the "
-        "parity contract; excluded from the store spec hash)",
-    )
 
 
 class StudyReply(BaseModel):
@@ -194,6 +191,8 @@ class WatchRequest(BaseModel):
     deterministic in (seed, fleet spec); ``pace="wall"`` plays the feed
     against the wall clock for live demos.
     """
+
+    model_config = ConfigDict(extra="forbid")
 
     case_name: str = Field(description="IEEE case identifier, e.g. 'ieee14'")
     session_id: str = Field(

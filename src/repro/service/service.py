@@ -254,14 +254,18 @@ class GridMindService:
         self, request: StudyRequest, progress=None
     ) -> StudyReply:
         from ..grid.cases import load_case
-        from ..scenarios import BatchStudyRunner, expand_study_kind, resolve_slice_by
+        from ..scenarios import BatchStudyRunner, StudyConfig, expand_study_kind, resolve_slice_by
 
         if request.kind not in STUDY_KINDS:
             raise ValueError(
                 f"unknown study kind {request.kind!r}; use one of {STUDY_KINDS}"
             )
-        slice_by = resolve_slice_by(
-            request.slice_by, request.kind, n_zones=request.n_zones
+        config = StudyConfig(
+            analysis=request.analysis,
+            slice_by=resolve_slice_by(
+                request.slice_by, request.kind, n_zones=request.n_zones
+            ),
+            slice_max_values=request.slice_max_values,
         )
         net = load_case(request.case_name)
         scenarios = expand_study_kind(
@@ -286,13 +290,7 @@ class GridMindService:
         # The full record list is only retained when a store will persist
         # it; otherwise the study streams through the reducer and holds
         # O(in-flight window + worst-K + n_slices) results at peak.
-        runner = BatchStudyRunner(
-            analysis=request.analysis,
-            executor=self.executor,
-            slice_by=slice_by,
-            slice_max_values=request.slice_max_values,
-            ac_mode=request.ac_mode,
-        )
+        runner = BatchStudyRunner(config, executor=self.executor)
         tracer = get_tracer()
         with tracer.span(
             "service.run_study", kind=request.kind, case=request.case_name
@@ -307,7 +305,7 @@ class GridMindService:
             if self.store is not None:
                 key = self.store.put(
                     net,
-                    runner.config(),
+                    config,
                     scenarios,
                     study,
                     study_kind=request.kind,
@@ -333,7 +331,7 @@ class GridMindService:
             n_scenarios=study.n_scenarios,
             n_jobs=study.n_jobs,
             runtime_s=study.runtime_s,
-            slice_by=list(slice_by),
+            slice_by=list(config.slice_by),
             summary=summary,
             n_progress_events=len(events),
             progress=thin_progress(events),

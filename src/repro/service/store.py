@@ -85,33 +85,12 @@ def _results_digest(results: list[dict]) -> str:
 def spec_hash(config: StudyConfig, scenarios: list[Scenario]) -> str:
     """Deterministic digest of a study definition (config + scenarios).
 
-    The slice declaration (``slice_by``/``slice_max_values``) is
-    excluded: it shapes the derived aggregate index, never the
-    per-scenario results, so re-running the same physics with a
-    different slicing overwrites one entry (the index sidecar is
-    refreshed with the new slices) instead of duplicating a multi-MB
-    payload — and keys minted before slicing existed keep matching.
-    ``batch_kernels`` is excluded for the same reason: the batched and
-    scalar paths produce bit-identical records, so toggling the fast
-    path must not mint a second store entry.  ``ac_mode`` and
-    ``ac_fd_sweeps`` are hashed for ``powerflow`` studies only: there
-    warm and cold AC records agree only under the parity contract
-    (aggregates within 1e-6, not bit for bit), so sharing one key would
-    make its ``results_digest`` depend on which mode ran last and
-    ``verify``/compare report spurious diffs.  No other analysis reads
-    them, so leaving the fields out keeps those keys stable.
-    (``ac_budget`` is hashed: it changes which outages get AC-verified,
-    i.e. the results themselves.)
+    The config contributes the fields it declares hashed
+    (:meth:`~repro.scenarios.runner.StudyConfig.hashed_fields`), so a new
+    knob states its own membership and old keys keep matching.
     """
-    excluded = {"batch_kernels"}
-    if config.analysis != "powerflow":
-        excluded |= {"ac_mode", "ac_fd_sweeps"}
     canon = {
-        "config": {
-            k: v
-            for k, v in dataclasses.asdict(config).items()
-            if not k.startswith("slice_") and k not in excluded
-        },
+        "config": config.hashed_fields(),
         "scenarios": [
             {
                 "name": s.name,

@@ -180,10 +180,12 @@ class TestAcStudyParity:
     def test_warm_vs_cold_across_chunk_sizes(self, case14, chunk_size):
         scns = monte_carlo_ensemble(n=8, sigma=0.06, seed=21)
         warm = BatchStudyRunner(
-            analysis="powerflow", chunk_size=chunk_size
+            StudyConfig(analysis="powerflow"),
+            chunk_size=chunk_size,
         ).run(case14, scns)
         cold = BatchStudyRunner(
-            analysis="powerflow", chunk_size=chunk_size, ac_mode="cold"
+            StudyConfig(analysis="powerflow", ac_mode="cold"),
+            chunk_size=chunk_size,
         ).run(case14, scns)
         _assert_record_parity(warm, cold)
         _assert_close(warm.aggregate().to_dict(), cold.aggregate().to_dict())
@@ -192,16 +194,17 @@ class TestAcStudyParity:
         """Rows never mix, so warm results are exactly identical under
         serial, pooled, and shared-executor dispatch (timing zeroed)."""
         scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=11)
-        serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(
+        serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(
             case14, scns
         )
-        pooled = BatchStudyRunner(analysis="powerflow", n_jobs=2).run(
+        pooled = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=2).run(
             case14, scns
         )
         assert _zero_times(serial) == _zero_times(pooled)
         with StudyExecutor(max_workers=2) as executor:
             streamed = BatchStudyRunner(
-                analysis="powerflow", executor=executor
+                StudyConfig(analysis="powerflow"),
+                executor=executor,
             ).run(case14, scns, keep_results=False)
         assert (
             serial.aggregate().to_dict()
@@ -220,11 +223,12 @@ class TestAcStudyParity:
             Scenario("d", (BranchOutage(5), UniformLoadScale(1.05))),
             Scenario("e", (RenewableInjection(bus=4, p_mw=20.0),)),
         ]
-        warm = BatchStudyRunner(analysis="powerflow", chunk_size=5).run(
+        warm = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=5).run(
             case14, scns
         )
         cold = BatchStudyRunner(
-            analysis="powerflow", chunk_size=5, ac_mode="cold"
+            StudyConfig(analysis="powerflow", ac_mode="cold"),
+            chunk_size=5,
         ).run(case14, scns)
         assert [r.name for r in warm.results] == list("abcde")
         _assert_record_parity(warm, cold)
@@ -239,11 +243,12 @@ class TestAcStudyParity:
             # polish included, so the warm path re-runs it cold.
             Scenario("diverge", (UniformLoadScale(60.0),)),
         ]
-        warm = BatchStudyRunner(analysis="powerflow", chunk_size=3).run(
+        warm = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=3).run(
             case14, scns
         )
         cold = BatchStudyRunner(
-            analysis="powerflow", chunk_size=3, ac_mode="cold"
+            StudyConfig(analysis="powerflow", ac_mode="cold"),
+            chunk_size=3,
         ).run(case14, scns)
         for name in ("bad", "diverge"):
             w = next(r for r in warm.results if r.name == name)
@@ -255,7 +260,7 @@ class TestAcStudyParity:
 
     def test_ac_mode_validated(self, case14):
         with pytest.raises(ValueError, match="ac_mode"):
-            BatchStudyRunner(analysis="powerflow", ac_mode="tepid").config()
+            StudyConfig(analysis="powerflow", ac_mode="tepid")
 
 
 # ----------------------------------------------------------------------

@@ -204,10 +204,12 @@ class TestDcStudy:
     def test_batched_equals_scalar_across_chunk_sizes(self, case14, chunk_size):
         scns = monte_carlo_ensemble(n=8, sigma=0.06, seed=21)
         batched = BatchStudyRunner(
-            analysis="dc", chunk_size=chunk_size
+            StudyConfig(analysis="dc"),
+            chunk_size=chunk_size,
         ).run(case14, scns)
         scalar = BatchStudyRunner(
-            analysis="dc", chunk_size=chunk_size, batch_kernels=False
+            StudyConfig(analysis="dc", batch_kernels=False),
+            chunk_size=chunk_size,
         ).run(case14, scns)
         assert _zero_times(batched) == _zero_times(scalar)
         assert batched.aggregate().to_dict() == scalar.aggregate().to_dict()
@@ -221,9 +223,10 @@ class TestDcStudy:
             Scenario("d", (BranchOutage(5), UniformLoadScale(1.05))),
             Scenario("e", (RenewableInjection(bus=4, p_mw=20.0),)),
         ]
-        batched = BatchStudyRunner(analysis="dc", chunk_size=5).run(case14, scns)
+        batched = BatchStudyRunner(StudyConfig(analysis="dc"), chunk_size=5).run(case14, scns)
         scalar = BatchStudyRunner(
-            analysis="dc", chunk_size=5, batch_kernels=False
+            StudyConfig(analysis="dc", batch_kernels=False),
+            chunk_size=5,
         ).run(case14, scns)
         assert [r.name for r in batched.results] == list("abcde")
         assert _zero_times(batched) == _zero_times(scalar)
@@ -234,9 +237,10 @@ class TestDcStudy:
             Scenario("bad", (UniformLoadScale(-2.0),)),
             Scenario("ok2", (UniformLoadScale(0.95),)),
         ]
-        batched = BatchStudyRunner(analysis="dc", chunk_size=3).run(case14, scns)
+        batched = BatchStudyRunner(StudyConfig(analysis="dc"), chunk_size=3).run(case14, scns)
         scalar = BatchStudyRunner(
-            analysis="dc", chunk_size=3, batch_kernels=False
+            StudyConfig(analysis="dc", batch_kernels=False),
+            chunk_size=3,
         ).run(case14, scns)
         assert _zero_times(batched) == _zero_times(scalar)
         bad = batched.results[1]
@@ -245,10 +249,10 @@ class TestDcStudy:
 
     def test_serial_pool_and_executor_identical(self, case14):
         scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=11)
-        serial = BatchStudyRunner(analysis="dc", n_jobs=1).run(case14, scns)
-        pooled = BatchStudyRunner(analysis="dc", n_jobs=2).run(case14, scns)
+        serial = BatchStudyRunner(StudyConfig(analysis="dc"), n_jobs=1).run(case14, scns)
+        pooled = BatchStudyRunner(StudyConfig(analysis="dc"), n_jobs=2).run(case14, scns)
         with StudyExecutor(max_workers=2) as executor:
-            streamed = BatchStudyRunner(analysis="dc", executor=executor).run(
+            streamed = BatchStudyRunner(StudyConfig(analysis="dc"), executor=executor).run(
                 case14, scns, keep_results=False
             )
         assert serial.aggregate().to_dict() == pooled.aggregate().to_dict()
@@ -290,11 +294,12 @@ class TestBatchedScreening:
     def test_screening_study_batched_equals_scalar(self, case14):
         scns = monte_carlo_ensemble(n=4, sigma=0.05, seed=8)
         batched = BatchStudyRunner(
-            analysis="screening", ac_budget=4, chunk_size=4
+            StudyConfig(analysis="screening", ac_budget=4),
+            chunk_size=4,
         ).run(case14, scns)
         scalar = BatchStudyRunner(
-            analysis="screening", ac_budget=4, chunk_size=4,
-            batch_kernels=False,
+            StudyConfig(analysis="screening", ac_budget=4, batch_kernels=False),
+            chunk_size=4,
         ).run(case14, scns)
         assert _zero_times(batched) == _zero_times(scalar)
 

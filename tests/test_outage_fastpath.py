@@ -41,6 +41,7 @@ from repro.scenarios import (
     BranchOutage,
     GeneratorOutage,
     Scenario,
+    StudyConfig,
     UniformLoadScale,
     monte_carlo_ensemble,
 )
@@ -245,8 +246,8 @@ class TestKernelRows:
         sol = AcKernel(net).solve_outages([cut])
         assert sol.rows == [None] and sol.reasons == ["islanded"]
         scns = [Scenario(name="cut", perturbations=tuple(BranchOutage(b) for b in cut))]
-        warm = BatchStudyRunner(analysis="powerflow").run(net, scns)
-        cold = BatchStudyRunner(analysis="powerflow", ac_mode="cold").run(net, scns)
+        warm = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(net, scns)
+        cold = BatchStudyRunner(StudyConfig(analysis="powerflow", ac_mode="cold")).run(net, scns)
         assert _zero_times(warm) == _zero_times(cold)
         assert "islands the network" in warm.results[0].error
 
@@ -353,16 +354,17 @@ class TestOutageStudies:
         registry = MetricsRegistry()
         previous = set_metrics(registry)
         try:
-            serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(case30, scns)
-            pooled = BatchStudyRunner(analysis="powerflow", n_jobs=2).run(case30, scns)
+            serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(case30, scns)
+            pooled = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=2).run(case30, scns)
             with StudyExecutor(max_workers=2) as executor:
                 shared = BatchStudyRunner(
-                    analysis="powerflow", executor=executor
+                    StudyConfig(analysis="powerflow"),
+                    executor=executor,
                 ).run(case30, scns)
             warm_solves = registry.counter("gridmind_ac_outage_solves_total").total()
             cold_registry = MetricsRegistry()
             set_metrics(cold_registry)
-            cold = BatchStudyRunner(analysis="powerflow", ac_mode="cold").run(
+            cold = BatchStudyRunner(StudyConfig(analysis="powerflow", ac_mode="cold")).run(
                 case30, scns
             )
         finally:
@@ -384,9 +386,10 @@ class TestOutageStudies:
             Scenario(name="already-out", perturbations=(BranchOutage(5), BranchOutage(2))),
             Scenario(name="single", perturbations=(BranchOutage(7),)),
         ]
-        warm = BatchStudyRunner(analysis="powerflow", chunk_size=6).run(case14, scns)
+        warm = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=6).run(case14, scns)
         cold = BatchStudyRunner(
-            analysis="powerflow", chunk_size=6, ac_mode="cold"
+            StudyConfig(analysis="powerflow", ac_mode="cold"),
+            chunk_size=6,
         ).run(case14, scns)
         assert [r.name for r in warm.results] == [s.name for s in scns]
         _assert_record_parity(warm, cold)
@@ -405,7 +408,7 @@ class TestFallbackAccounting:
         net = load_case(case_name)
         scns = monte_carlo_ensemble(n=16, sigma=0.05, seed=5)
         for analysis in ("powerflow", "dc", "screening"):
-            study = BatchStudyRunner(analysis=analysis, ac_budget=4).run(net, scns)
+            study = BatchStudyRunner(StudyConfig(analysis=analysis, ac_budget=4)).run(net, scns)
             assert all(r.converged for r in study.results)
         # Only screening's AC-verify sweeps may hand rows back, and only
         # for the physics (a bridge, the ieee57 FD-stall outage): any
@@ -420,7 +423,7 @@ class TestFallbackAccounting:
         tiny_net.add_bus()  # an isolated bus: the base itself is split
         scns = monte_carlo_ensemble(n=3, sigma=0.02, seed=1)
         with tracing() as tracer:
-            study = BatchStudyRunner(analysis="powerflow", chunk_size=3).run(
+            study = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=3).run(
                 tiny_net, scns
             )
         assert not any(r.converged for r in study.results)
@@ -438,8 +441,8 @@ class TestFallbackAccounting:
         scns = list(monte_carlo_ensemble(n=4, sigma=0.05, seed=2))
         scns.append(Scenario(name="out", perturbations=(BranchOutage(3),)))
         with caplog.at_level(logging.ERROR, logger="repro.scenarios.runner"):
-            warm = BatchStudyRunner(analysis="powerflow").run(case14, scns)
-        cold = BatchStudyRunner(analysis="powerflow", ac_mode="cold").run(case14, scns)
+            warm = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(case14, scns)
+        cold = BatchStudyRunner(StudyConfig(analysis="powerflow", ac_mode="cold")).run(case14, scns)
         assert _zero_times(warm) == _zero_times(cold)
         assert _fallbacks(fresh_metrics, path="ac", reason="build-error") == 4
         assert _fallbacks(fresh_metrics, path="outage", reason="build-error") == 1

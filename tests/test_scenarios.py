@@ -11,6 +11,7 @@ from repro.scenarios import (
     RenewableInjection,
     Scenario,
     ScenarioError,
+    StudyConfig,
     UniformLoadScale,
     aggregate_study,
     daily_profile,
@@ -125,7 +126,7 @@ class TestGenerators:
 
 class TestRunner:
     def test_powerflow_study_serial(self, case14):
-        study = BatchStudyRunner(analysis="powerflow").run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, load_sweep(0.9, 1.1, 3)
         )
         assert study.n_scenarios == 3
@@ -136,11 +137,11 @@ class TestRunner:
 
     def test_result_order_matches_scenario_order(self, case14):
         scns = monte_carlo_ensemble(n=5, sigma=0.05, seed=2)
-        study = BatchStudyRunner(analysis="powerflow").run(case14, scns)
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(case14, scns)
         assert [r.name for r in study.results] == [s.name for s in scns]
 
     def test_dcopf_study_reports_costs(self, case14):
-        study = BatchStudyRunner(analysis="dcopf").run(
+        study = BatchStudyRunner(StudyConfig(analysis="dcopf")).run(
             case14, load_sweep(0.9, 1.1, 3)
         )
         agg = study.aggregate()
@@ -150,7 +151,7 @@ class TestRunner:
         assert costs[0] < costs[1] < costs[2]
 
     def test_screening_study_ranks_criticals(self, case14):
-        study = BatchStudyRunner(analysis="screening", ac_budget=6, top_n=3).run(
+        study = BatchStudyRunner(StudyConfig(analysis="screening", ac_budget=6, top_n=3)).run(
             case14, load_sweep(0.95, 1.05, 3)
         )
         assert all(r.critical_branches is not None for r in study.results)
@@ -160,11 +161,11 @@ class TestRunner:
 
     def test_unknown_analysis_raises(self, case14):
         with pytest.raises(ValueError, match="unknown analysis"):
-            BatchStudyRunner(analysis="magic").run(case14, load_sweep(0.9, 1.1, 2))
+            StudyConfig(analysis="magic")
 
     def test_scenario_error_is_captured_not_raised(self, case14):
         bad = Scenario("bad", (BranchOutage(999),))
-        study = BatchStudyRunner(analysis="powerflow").run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, [*load_sweep(0.9, 1.1, 2), bad]
         )
         assert study.aggregate().n_errors == 1
@@ -180,15 +181,15 @@ class TestRunner:
             b for b in case14.in_service_branch_ids() if b != bridge
         )
         scn = Scenario("island", (BranchOutage(bridge), BranchOutage(other)))
-        study = BatchStudyRunner(analysis="powerflow").run(case14, [scn])
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(case14, [scn])
         assert not study.results[0].converged
         assert "islands the network" in study.results[0].error
         assert study.aggregate().n_errors == 1
 
     def test_serial_and_parallel_aggregates_identical(self, case14):
         scns = monte_carlo_ensemble(n=6, sigma=0.05, seed=9)
-        serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(case14, scns)
-        parallel = BatchStudyRunner(analysis="powerflow", n_jobs=2).run(case14, scns)
+        serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(case14, scns)
+        parallel = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=2).run(case14, scns)
         assert parallel.n_jobs == 2
         assert [r.name for r in serial.results] == [r.name for r in parallel.results]
         assert serial.aggregate().to_dict() == parallel.aggregate().to_dict()
@@ -200,7 +201,7 @@ class TestRunner:
 
         before = set(multiprocessing.active_children())
         scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=9)
-        runner = BatchStudyRunner(analysis="dc", n_jobs=2, chunk_size=2)
+        runner = BatchStudyRunner(StudyConfig(analysis="dc"), n_jobs=2, chunk_size=2)
         runner.run(case14, scns)
         assert set(multiprocessing.active_children()) <= before
 
@@ -218,7 +219,7 @@ class TestRunner:
     def test_to_dict_is_json_ready(self, case14):
         import json
 
-        study = BatchStudyRunner(analysis="powerflow").run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, load_sweep(0.9, 1.1, 2)
         )
         payload = json.loads(json.dumps(study.to_dict()))

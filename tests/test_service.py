@@ -7,10 +7,17 @@ import dataclasses
 import json
 
 import pytest
+from pydantic import ValidationError
 
 from repro.core.session import GridMindSession
 from repro.core.tools import ToolRegistry
-from repro.scenarios import BatchStudyRunner, load_sweep, monte_carlo_ensemble
+from repro.scenarios import (
+    BatchStudyRunner,
+    StudyConfig,
+    load_sweep,
+    monte_carlo_ensemble,
+    outage_combinations,
+)
 from repro.service import (
     AskRequest,
     GridMindService,
@@ -19,12 +26,38 @@ from repro.service import (
     StudyExecutor,
     StudyNotFound,
     StudyRequest,
+    WatchRequest,
     derive_session_seed,
 )
 
 
 def _strip_timing(results):
     return [dataclasses.replace(r, solve_time_s=0.0) for r in results]
+
+
+# ----------------------------------------------------------------------
+# request envelopes
+# ----------------------------------------------------------------------
+
+
+class TestRequestEnvelopes:
+    def test_removed_ac_mode_is_rejected(self):
+        # ac_mode is an ablation knob on StudyConfig only; a client still
+        # sending it must hear so rather than silently get "warm".
+        with pytest.raises(ValidationError):
+            StudyRequest(case_name="ieee14", ac_mode="cold")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AskRequest(session_id="a", text="hi", bogus=1),
+            lambda: StudyRequest(case_name="ieee14", bogus=1),
+            lambda: WatchRequest(case_name="ieee14", bogus=1),
+        ],
+    )
+    def test_unknown_fields_are_rejected(self, build):
+        with pytest.raises(ValidationError, match="bogus"):
+            build()
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +189,7 @@ class TestInterleavedDeterminism:
 class TestStudyExecutor:
     def test_back_to_back_studies_reuse_one_pool(self, case14):
         scenarios = load_sweep(0.9, 1.1, 8)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=2) as executor:
             first = executor.run_study(case14, config, scenarios)
             pids_after_first = set(executor.worker_pids)
@@ -174,7 +207,7 @@ class TestStudyExecutor:
         from concurrent.futures.process import BrokenProcessPool
 
         scenarios = load_sweep(0.9, 1.1, 4)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1) as executor:
             executor.run_study(case14, config, scenarios)
             (pid,) = executor.worker_pids
@@ -188,12 +221,13 @@ class TestStudyExecutor:
 
     def test_executor_results_match_serial_runner(self, case14):
         scenarios = monte_carlo_ensemble(n=6, sigma=0.05, seed=3)
-        serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(
+        serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(
             case14, scenarios
         )
         with StudyExecutor(max_workers=2) as executor:
             shared = BatchStudyRunner(
-                analysis="powerflow", executor=executor
+                StudyConfig(analysis="powerflow"),
+                executor=executor,
             ).run(case14, scenarios)
         assert _strip_timing(shared.results) == _strip_timing(serial.results)
         assert shared.aggregate().to_dict() == serial.aggregate().to_dict()
@@ -226,11 +260,11 @@ class TestStudyExecutor:
 class TestResultStore:
     def test_roundtrip_bit_identical(self, tmp_path, case14):
         scenarios = load_sweep(0.85, 1.15, 4)
-        runner = BatchStudyRunner(analysis="dcopf")
+        runner = BatchStudyRunner(StudyConfig(analysis="dcopf"))
         study = runner.run(case14, scenarios)
         store = ResultStore(tmp_path)
         key = store.put(
-            case14, runner.config(), scenarios, study, study_kind="sweep"
+            case14, runner.config, scenarios, study, study_kind="sweep"
         )
 
         reloaded = store.load_result(key)
@@ -240,23 +274,23 @@ class TestResultStore:
 
     def test_key_is_content_addressed(self, tmp_path, case14, case30):
         scenarios = load_sweep(0.9, 1.1, 3)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         store = ResultStore(tmp_path)
         key14 = store.key_for(case14, config, scenarios)
         assert key14 == store.key_for(case14, config, scenarios)
         # Different base network, different spec, different config -> new keys.
         assert key14 != store.key_for(case30, config, scenarios)
         assert key14 != store.key_for(case14, config, load_sweep(0.9, 1.1, 4))
-        other = BatchStudyRunner(analysis="dcopf").config()
+        other = StudyConfig(analysis="dcopf")
         assert key14 != store.key_for(case14, other, scenarios)
 
     def test_list_resolve_and_labels(self, tmp_path, case14):
         store = ResultStore(tmp_path)
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         for label, (lo, hi) in (("yesterday", (0.9, 1.1)), ("today", (0.8, 1.2))):
             scenarios = load_sweep(lo, hi, 3)
             store.put(
-                case14, runner.config(), scenarios,
+                case14, runner.config, scenarios,
                 runner.run(case14, scenarios),
                 study_kind="sweep", label=label,
             )
@@ -271,11 +305,11 @@ class TestResultStore:
 
     def test_compare_defaults_to_latest_pair(self, tmp_path, case14):
         store = ResultStore(tmp_path)
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         for lo, hi in ((0.95, 1.05), (0.8, 1.25)):
             scenarios = load_sweep(lo, hi, 4)
             store.put(
-                case14, runner.config(), scenarios,
+                case14, runner.config, scenarios,
                 runner.run(case14, scenarios), study_kind="sweep",
             )
         cmp = store.compare()
@@ -289,16 +323,44 @@ class TestResultStore:
 
     def test_listing_survives_missing_sidecar(self, tmp_path, case14):
         store = ResultStore(tmp_path)
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         scenarios = load_sweep(0.9, 1.1, 3)
         key = store.put(
-            case14, runner.config(), scenarios,
+            case14, runner.config, scenarios,
             runner.run(case14, scenarios), study_kind="sweep",
         )
         (tmp_path / f"{key}.meta").unlink()  # older store / interrupted put
         entries = store.list_studies()
         assert [m.key for m in entries] == [key]
         assert entries[0].study_kind == "sweep"
+
+    #: Keys recorded before spec_hash read hash membership from the
+    #: StudyConfig field metadata; stores minted earlier must keep
+    #: addressing the same entries.
+    GOLDEN_SPEC_HASHES = [
+        ({}, "e34643b1753c3f48"),
+        ({"ac_mode": "cold"}, "f1b4378fbc8336ba"),
+        ({"ac_fd_sweeps": 2}, "7e81bfb61e7bf699"),
+        ({"analysis": "dc"}, "8b6cb0a09603643d"),
+        ({"analysis": "dc", "batch_kernels": False}, "8b6cb0a09603643d"),
+        ({"analysis": "dc", "ac_mode": "cold"}, "8b6cb0a09603643d"),
+        ({"analysis": "screening", "ac_budget": 4}, "c3786dc62c7fe840"),
+        ({"slice_by": ("scale",), "slice_max_values": 7}, "e34643b1753c3f48"),
+        ({"analysis": "scopf", "vmin": 0.95, "top_n": 3}, "d61b031c70d2d405"),
+        ({"analysis": "acopf", "overload_threshold": 90.0}, "13cfbbac2a4ee54c"),
+    ]
+
+    def test_spec_hash_golden_keys(self, case14):
+        from repro.service.store import spec_hash
+
+        scenarios = list(load_sweep(0.9, 1.1, 3)) + list(
+            outage_combinations(case14, depth=1, limit=3)
+        )
+        got = [
+            (knobs, spec_hash(StudyConfig(**knobs), scenarios))
+            for knobs, _ in self.GOLDEN_SPEC_HASHES
+        ]
+        assert got == self.GOLDEN_SPEC_HASHES
 
     @pytest.mark.parametrize(
         "text",

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 from repro.scenarios import (
-    BatchStudyRunner,
     OTHER_SLICE,
+    BatchStudyRunner,
     Scenario,
     SlicedReducer,
     SliceSpec,
+    StudyConfig,
     StudyReducer,
     ZonalLoadScale,
     aggregate_study,
@@ -81,11 +82,11 @@ class TestSliceSpec:
         with pytest.raises(ValueError, match="did you mean"):
             SliceSpec(by="scale")
 
-    def test_runner_parses_string_slice_by(self, case14):
-        study = BatchStudyRunner(
-            analysis="powerflow", slice_by="hour, zone"
-        ).run(case14, daily_profile(steps=6))
-        assert list(study.aggregate().slices) == ["hour_of_day", "hot_zone"]
+    def test_study_config_rejects_bare_string_slice_by(self):
+        # Front ends parse strings through resolve_slice_by (covered by
+        # test_aliases_and_comma_lists); the config itself takes names.
+        with pytest.raises(ValueError, match="did you mean"):
+            StudyConfig(analysis="powerflow", slice_by="hour, zone")
 
     def test_truthiness_tracks_dimensions(self):
         assert not SliceSpec()
@@ -251,10 +252,10 @@ class TestSlicedReducer:
 class TestSliceExecutionIdentity:
     def test_serial_pooled_streamed_bit_identical(self, case14):
         scenarios = daily_profile(steps=36)
-        kwargs = dict(analysis="powerflow", slice_by=("hour_of_day",))
-        serial = BatchStudyRunner(n_jobs=1, **kwargs).run(case14, scenarios)
-        pooled = BatchStudyRunner(n_jobs=2, **kwargs).run(case14, scenarios)
-        streamed = BatchStudyRunner(n_jobs=2, **kwargs).run(
+        config = StudyConfig(analysis="powerflow", slice_by=("hour_of_day",))
+        serial = BatchStudyRunner(config, n_jobs=1).run(case14, scenarios)
+        pooled = BatchStudyRunner(config, n_jobs=2).run(case14, scenarios)
+        streamed = BatchStudyRunner(config, n_jobs=2).run(
             case14, scenarios, keep_results=False
         )
         agg_serial = serial.aggregate().to_dict()
@@ -269,10 +270,10 @@ class TestSliceExecutionIdentity:
 
     def test_shared_executor_matches_serial(self, case14):
         scenarios = load_sweep(0.9, 1.1, 12)
-        kwargs = dict(analysis="powerflow", slice_by=("scale",))
-        serial = BatchStudyRunner(**kwargs).run(case14, scenarios)
+        config = StudyConfig(analysis="powerflow", slice_by=("scale",))
+        serial = BatchStudyRunner(config).run(case14, scenarios)
         with StudyExecutor(max_workers=2) as executor:
-            shared = BatchStudyRunner(executor=executor, **kwargs).run(
+            shared = BatchStudyRunner(config, executor=executor).run(
                 case14, scenarios, keep_results=False
             )
         assert serial.aggregate().to_dict() == shared.aggregate().to_dict()
@@ -280,11 +281,10 @@ class TestSliceExecutionIdentity:
     def test_streamed_slices_keep_residency_bounded(self, case14):
         scenarios = daily_profile(steps=120)
         study = BatchStudyRunner(
-            analysis="powerflow",
+            StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
             n_jobs=1,
             chunk_size=10,
             worst_k=5,
-            slice_by=("hour_of_day",),
         ).run(case14, scenarios, keep_results=False)
         assert study.results == []
         assert study.peak_resident_results <= 10 + 5
@@ -293,7 +293,7 @@ class TestSliceExecutionIdentity:
     def test_kept_results_reaggregate_with_slices(self, case14):
         scenarios = daily_profile(steps=12)
         study = BatchStudyRunner(
-            analysis="powerflow", slice_by=("hour_of_day",)
+            StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
         ).run(case14, scenarios)
         stream_agg = study.aggregate().to_dict()
         # Recompute from the materialised records through the wrapper.
@@ -302,10 +302,9 @@ class TestSliceExecutionIdentity:
         )
         assert recomputed.to_dict() == stream_agg
 
-    def test_invalid_slice_spec_rejected_before_dispatch(self, case14):
-        runner = BatchStudyRunner(slice_by=("hour", "hour"))
+    def test_invalid_slice_spec_rejected_before_dispatch(self):
         with pytest.raises(ValueError, match="duplicate"):
-            runner.config()
+            StudyConfig(slice_by=("hour", "hour"))
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +377,7 @@ class TestCorrelatedMonteCarlo:
             n=30, sigma=0.15, seed=3, correlation=uniform_correlation(4, 0.3)
         )
         study = BatchStudyRunner(
-            analysis="powerflow", slice_by=("hot_zone",)
+            StudyConfig(analysis="powerflow", slice_by=("hot_zone",)),
         ).run(case14, scenarios)
         block = study.aggregate().slices["hot_zone"]
         assert 1 <= block["n_cells"] <= 4
@@ -417,7 +416,7 @@ class TestProfileHourTags:
 def sliced_store(tmp_path, case14):
     """A store holding two sliced daily-profile studies."""
     store = ResultStore(tmp_path / "store")
-    runner = BatchStudyRunner(analysis="powerflow", slice_by=("hour_of_day",))
+    runner = BatchStudyRunner(StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)))
     keys = []
     for label, trough in (("day1", 0.65), ("day2", 0.75)):
         scenarios = daily_profile(steps=30, trough=trough)
@@ -425,7 +424,7 @@ def sliced_store(tmp_path, case14):
         keys.append(
             store.put(
                 case14,
-                runner.config(),
+                runner.config,
                 list(scenarios),
                 study,
                 study_kind="profile",
@@ -563,13 +562,13 @@ class TestAggregateIndexSidecars:
         # not the per-scenario results).
         store = ResultStore(tmp_path / "store")
         scenarios = daily_profile(steps=10)
-        plain = BatchStudyRunner(analysis="powerflow")
-        sliced = BatchStudyRunner(analysis="powerflow", slice_by=("hour_of_day",))
+        plain = BatchStudyRunner(StudyConfig(analysis="powerflow"))
+        sliced = BatchStudyRunner(StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)))
         key_plain = store.put(
-            case14, plain.config(), list(scenarios), plain.run(case14, scenarios)
+            case14, plain.config, list(scenarios), plain.run(case14, scenarios)
         )
         key_sliced = store.put(
-            case14, sliced.config(), list(scenarios), sliced.run(case14, scenarios)
+            case14, sliced.config, list(scenarios), sliced.run(case14, scenarios)
         )
         assert key_plain == key_sliced
         assert len(store.list_studies()) == 1
@@ -579,9 +578,9 @@ class TestAggregateIndexSidecars:
     def test_unsliced_legacy_payload_indexes_cleanly(self, tmp_path, case14):
         # A pre-slicing store entry: no index, no slice_by in its config.
         store = ResultStore(tmp_path / "legacy")
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         scenarios = load_sweep(0.95, 1.05, 5)
-        key = store.put(case14, runner.config(), list(scenarios), runner.run(case14, scenarios))
+        key = store.put(case14, runner.config, list(scenarios), runner.run(case14, scenarios))
         store._index_path(key).unlink()
         payload = json.loads(store._path(key).read_text())
         payload["config"].pop("slice_by")
@@ -691,7 +690,7 @@ class TestSlicedNarration:
         from repro.llm.narration import narrate_study
 
         study = BatchStudyRunner(
-            analysis="powerflow", slice_by=("hour_of_day",)
+            StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
         ).run(case14, daily_profile(steps=24))
         payload = study.to_dict(max_scenarios=3)
         payload["study_kind"] = "daily_profile"
@@ -703,7 +702,7 @@ class TestSlicedNarration:
         from repro.llm.narration import narrate_study
 
         study = BatchStudyRunner(
-            analysis="powerflow", slice_by=("hour_of_day",)
+            StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
         ).run(case14, daily_profile(steps=24))
         payload = study.to_dict()
         payload["study_kind"] = "daily_profile"

@@ -23,6 +23,7 @@ from repro.scenarios import (
     Scenario,
     ScenarioStream,
     StreamingStats,
+    StudyConfig,
     StudyReducer,
     UniformLoadScale,
     aggregate_study,
@@ -250,11 +251,12 @@ class TestStudyReducer:
 class TestStreamingExecution:
     def test_serial_pool_and_executor_aggregates_identical(self, case14):
         scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=11)
-        serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(case14, scns)
-        pooled = BatchStudyRunner(analysis="powerflow", n_jobs=2).run(case14, scns)
+        serial = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=1).run(case14, scns)
+        pooled = BatchStudyRunner(StudyConfig(analysis="powerflow"), n_jobs=2).run(case14, scns)
         with StudyExecutor(max_workers=2) as executor:
             streamed = BatchStudyRunner(
-                analysis="powerflow", executor=executor
+                StudyConfig(analysis="powerflow"),
+                executor=executor,
             ).run(case14, scns, keep_results=False)
         assert serial.aggregate().to_dict() == pooled.aggregate().to_dict()
         assert serial.aggregate().to_dict() == streamed.aggregate().to_dict()
@@ -263,8 +265,8 @@ class TestStreamingExecution:
         """The batched dc fast path holds the identity guarantee too:
         serial and pooled runs produce bit-identical record lists."""
         scns = monte_carlo_ensemble(n=8, sigma=0.05, seed=11)
-        serial = BatchStudyRunner(analysis="dc", n_jobs=1).run(case14, scns)
-        pooled = BatchStudyRunner(analysis="dc", n_jobs=2).run(case14, scns)
+        serial = BatchStudyRunner(StudyConfig(analysis="dc"), n_jobs=1).run(case14, scns)
+        pooled = BatchStudyRunner(StudyConfig(analysis="dc"), n_jobs=2).run(case14, scns)
 
         def records(study):
             out = []
@@ -279,8 +281,8 @@ class TestStreamingExecution:
 
     def test_streamed_worst_k_matches_materialized(self, case14):
         scns = monte_carlo_ensemble(n=10, sigma=0.08, seed=12)
-        full = BatchStudyRunner(analysis="powerflow").run(case14, scns)
-        lean = BatchStudyRunner(analysis="powerflow").run(
+        full = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(case14, scns)
+        lean = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, scns, keep_results=False
         )
         assert lean.results == []
@@ -290,7 +292,7 @@ class TestStreamingExecution:
     def test_progress_events_monotone_and_complete(self, case14):
         events = []
         scns = monte_carlo_ensemble(n=9, sigma=0.05, seed=13)
-        study = BatchStudyRunner(analysis="powerflow", chunk_size=2).run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=2).run(
             case14, scns, progress=events.append, keep_results=False
         )
         assert study.n_progress_events == len(events) == 5
@@ -303,9 +305,12 @@ class TestStreamingExecution:
 
     def test_backpressure_window_never_exceeded(self, case14):
         scns = monte_carlo_ensemble(n=12, sigma=0.05, seed=14)
-        with StudyExecutor(max_workers=2, window=2) as executor:
+        with StudyExecutor(max_workers=2) as executor:
             study = BatchStudyRunner(
-                analysis="powerflow", executor=executor, chunk_size=1
+                StudyConfig(analysis="powerflow"),
+                executor=executor,
+                chunk_size=1,
+                window=2,
             ).run(case14, scns, keep_results=False)
             stats = executor.stats()
         assert stats["n_chunks"] == 12
@@ -316,7 +321,9 @@ class TestStreamingExecution:
     def test_peak_residency_stays_flat_as_ensemble_grows(self, case14):
         def peak(n):
             study = BatchStudyRunner(
-                analysis="powerflow", chunk_size=4, worst_k=5
+                StudyConfig(analysis="powerflow"),
+                chunk_size=4,
+                worst_k=5,
             ).run(
                 case14,
                 monte_carlo_ensemble(n=n, sigma=0.05, seed=15),
@@ -328,7 +335,7 @@ class TestStreamingExecution:
 
     def test_results_preserved_with_keep_results(self, case14):
         scns = monte_carlo_ensemble(n=6, sigma=0.05, seed=16)
-        study = BatchStudyRunner(analysis="powerflow").run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, scns, keep_results=True
         )
         assert [r.name for r in study.results] == [s.name for s in scns]
@@ -338,7 +345,7 @@ class TestStreamingExecution:
         unsized = ScenarioStream(
             lambda: iter(load_sweep(0.9, 1.1, 4)), length=None
         )
-        study = BatchStudyRunner(analysis="powerflow").run(
+        study = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, unsized, keep_results=True
         )
         assert study.n_scenarios == 4
@@ -347,7 +354,7 @@ class TestStreamingExecution:
 
 class TestScopfStudy:
     def test_scopf_analysis_reports_secured_costs(self, case14):
-        study = BatchStudyRunner(analysis="scopf").run(
+        study = BatchStudyRunner(StudyConfig(analysis="scopf")).run(
             case14, load_sweep(0.95, 1.05, 2)
         )
         assert all(r.converged for r in study.results)
@@ -378,10 +385,10 @@ class TestScopfStudy:
 
 def _put_study(store, net, seed: int, label: str = "") -> str:
     scns = monte_carlo_ensemble(n=2, sigma=0.05, seed=seed)
-    runner = BatchStudyRunner(analysis="powerflow")
+    runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
     study = runner.run(net, scns)
     return store.put(
-        net, runner.config(), scns, study, study_kind="monte_carlo", label=label
+        net, runner.config, scns, study, study_kind="monte_carlo", label=label
     )
 
 
@@ -457,10 +464,10 @@ class TestStoreLifecycle:
 
         store = ResultStore(tmp_path)
         scns = monte_carlo_ensemble(n=3, sigma=0.05, seed=9)
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         study = runner.run(case14, scns, keep_results=False)
         with pytest.raises(ValueError, match="keep_results"):
-            store.put(case14, runner.config(), scns, study)
+            store.put(case14, runner.config, scns, study)
 
 
 # ----------------------------------------------------------------------

@@ -352,6 +352,14 @@ class TestRunWatch:
         assert out["peak_open_windows"] <= 2  # size/slide
         assert out["n_windows"] == len(out["windows"])
 
+    def test_unknown_analysis_raises(self, ieee14):
+        # Every tick would otherwise become an error record under an
+        # "ok" watch.
+        with pytest.raises(ValueError, match="unknown analysis"):
+            run_watch(
+                ieee14, analysis="magic", n_devices=20, n_ticks=8, window_ticks=4
+            )
+
     def test_on_window_streams_in_order(self, ieee14):
         seen = []
         out = _watch(ieee14, on_window=lambda u: seen.append(u["index"]))
@@ -386,6 +394,17 @@ class TestServiceWatch:
         assert any(a["rule"] == "telemetry_anomaly_rate" for a in reply.alerts)
         # Narration mentions the anomaly alert by rule name (agent story).
         assert "telemetry_anomaly_rate" in reply.narration
+
+    def test_watch_rejects_unknown_analysis(self, tmp_path):
+        async def go():
+            async with GridMindService(store_dir=str(tmp_path)) as svc:
+                return await svc.watch(WatchRequest(
+                    case_name="ieee14", n_devices=20, n_ticks=8,
+                    window_ticks=4, analysis="magic",
+                ))
+
+        with pytest.raises(ValueError, match="unknown analysis"):
+            asyncio.run(go())
 
     def test_watch_deterministic_for_session(self, tmp_path):
         async def one():

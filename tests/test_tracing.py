@@ -37,7 +37,7 @@ from repro.instrumentation.trace import (
     tracing,
     worker_trace,
 )
-from repro.scenarios import BatchStudyRunner, load_sweep
+from repro.scenarios import BatchStudyRunner, StudyConfig, load_sweep
 from repro.service import GridMindService, StudyExecutor
 from repro.service.api import StudyRequest
 from repro.service.store import ResultStore, StudyNotFound
@@ -395,7 +395,9 @@ def _traced_study(case, *, n_jobs=1, executor=None, n=4):
     # the scenario/solver span plumbing the warm AC kernel (one
     # chunk.ac_batch span per group) deliberately bypasses.
     runner = BatchStudyRunner(
-        analysis="powerflow", n_jobs=n_jobs, executor=executor, ac_mode="cold"
+        StudyConfig(analysis="powerflow", ac_mode="cold"),
+        n_jobs=n_jobs,
+        executor=executor,
     )
     with tracing() as tracer:
         study = runner.run(case, scenarios)
@@ -456,7 +458,7 @@ class TestStudyTracePropagation:
         if ambient.enabled:
             pytest.skip("a tracer is installed process-wide")
         before = len(ambient.spans())
-        _traced = BatchStudyRunner(analysis="powerflow").run(
+        _traced = BatchStudyRunner(StudyConfig(analysis="powerflow")).run(
             case14, load_sweep(0.98, 1.02, 2)
         )
         assert len(ambient.spans()) == before
@@ -465,7 +467,7 @@ class TestStudyTracePropagation:
         events = []
         scenarios = load_sweep(0.95, 1.05, 4)
         with StudyExecutor(max_workers=2) as executor:
-            BatchStudyRunner(analysis="powerflow", executor=executor).run(
+            BatchStudyRunner(StudyConfig(analysis="powerflow"), executor=executor).run(
                 case14, scenarios, progress=events.append
             )
         assert events
@@ -479,7 +481,8 @@ class TestStudyTracePropagation:
     def test_study_metrics_merge_from_workers(self, case14, fresh_metrics):
         with StudyExecutor(max_workers=2) as executor:
             BatchStudyRunner(
-                analysis="powerflow", executor=executor, ac_mode="cold"
+                StudyConfig(analysis="powerflow", ac_mode="cold"),
+                executor=executor,
             ).run(case14, load_sweep(0.95, 1.05, 4))
         m = get_metrics()
         assert m.counter("gridmind_scenarios_total").total() == 4.0
@@ -494,7 +497,7 @@ class TestExecutorRetry:
         import signal
 
         scenarios = load_sweep(0.9, 1.1, 4)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1, retries=1) as executor:
             baseline = executor.run_study(case14, config, scenarios)
             (pid,) = executor.worker_pids
@@ -515,7 +518,7 @@ class TestExecutorRetry:
 
     def test_stats_surface_executor_lifecycle(self, case14):
         scenarios = load_sweep(0.9, 1.1, 4)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=2) as executor:
             executor.run_study(case14, config, scenarios)
             stats = executor.stats()
@@ -533,7 +536,7 @@ class TestExecutorRetry:
         import signal
 
         scenarios = load_sweep(0.9, 1.1, 4)
-        config = BatchStudyRunner(analysis="powerflow").config()
+        config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1, retries=1) as executor:
             executor.run_study(case14, config, scenarios)
             (pid,) = executor.worker_pids
@@ -558,9 +561,9 @@ class TestExecutorRetry:
 class TestTraceSidecar:
     def _stored_study(self, store, case):
         scenarios = load_sweep(0.95, 1.05, 3)
-        runner = BatchStudyRunner(analysis="powerflow")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow"))
         study = runner.run(case, scenarios)
-        return store.put(case, runner.config(), scenarios, study)
+        return store.put(case, runner.config, scenarios, study)
 
     def test_put_and_load_roundtrip(self, tmp_path, case14):
         store = ResultStore(tmp_path)
@@ -596,11 +599,11 @@ class TestServiceTracing:
             async with GridMindService(
                 max_workers=2, store_dir=str(tmp_path), trace=True
             ) as svc:
-                # ac_mode="cold": this test asserts the per-scenario span
-                # layers the warm AC kernel deliberately collapses.
+                # acopf rows take the per-scenario path, so every span
+                # layer down to the solver shows up.
                 reply = await svc.run_study(StudyRequest(
                     case_name="ieee14", kind="sweep", n_scenarios=4,
-                    ac_mode="cold",
+                    analysis="acopf",
                 ))
                 ask = await svc.ask("a", "Solve the IEEE 14 bus case")
                 spans = svc.tracer.spans()
@@ -614,7 +617,7 @@ class TestServiceTracing:
         names = {d["name"] for d in sidecar}
         # The acceptance bar: the exported trace spans >= 3 layers.
         assert {"service.run_study", "study.run", "worker.chunk",
-                "scenario.run", "solve.newton"} <= names
+                "scenario.run", "solve.acopf"} <= names
         assert {d["trace_id"] for d in sidecar} == {reply.trace_id}
         # The conversational path traces too: session.turn under
         # service.ask, agent + tool spans below.
@@ -658,11 +661,11 @@ class TestTraceCLI:
         store = ResultStore(tmp_path)
         scenarios = load_sweep(0.95, 1.05, 3)
         # ac_mode="cold": the rendered report asserts per-scenario spans.
-        runner = BatchStudyRunner(analysis="powerflow", ac_mode="cold")
+        runner = BatchStudyRunner(StudyConfig(analysis="powerflow", ac_mode="cold"))
         with tracing() as tracer:
             with tracer.span("study.run"):
                 study = runner.run(case14, scenarios)
-        key = store.put(case14, runner.config(), scenarios, study)
+        key = store.put(case14, runner.config, scenarios, study)
         store.put_trace(key, tracer.spans())
 
         assert main(["trace", "--store", str(tmp_path)]) == 0  # latest
