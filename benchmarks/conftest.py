@@ -11,6 +11,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 import _report
 
 
+def pytest_configure(config):
+    """``--update-results`` (declared in the root conftest) archives tables."""
+    _report.WRITE_RESULTS = config.getoption("--update-results")
+
+
 @pytest.fixture(scope="session")
 def paper_models() -> tuple[str, ...]:
     from repro.llm.profiles import PAPER_MODELS

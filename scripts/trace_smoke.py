@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Tier-2 observability smoke: a traced study end to end, verified.
 
-Runs a pooled Monte-Carlo study through a traced
+Runs a pooled Monte-Carlo ACOPF study through a traced
 :class:`~repro.service.GridMindService`, reads the exported ``.trace``
 sidecar back through the store, and asserts the structural guarantees
 the tracing stack makes:
@@ -41,14 +41,16 @@ from repro.service.store import ResultStore
 
 #: service -> study -> dispatch -> worker -> scenario -> solver: the
 #: layer cover the smoke insists on (>= 3 required by the acceptance
-#: bar; we assert all six).
+#: bar; we assert all six).  ACOPF rows take the per-scenario path, so
+#: every scenario gets its own ``scenario.run`` span; power-flow rows
+#: would go through the warm AC kernel's chunk spans instead.
 REQUIRED_LAYERS = (
     "service.run_study",
     "study.run",
     "executor.dispatch",
     "worker.chunk",
     "scenario.run",
-    "solve.newton",
+    "solve.acopf",
 )
 
 
@@ -67,6 +69,7 @@ async def run_traced_study(store_dir: str, n: int):
             case_name="ieee14",
             kind="monte_carlo",
             n_scenarios=n,
+            analysis="acopf",
             label="trace-smoke",
         ))
         return reply

@@ -6,11 +6,13 @@ copy*, so agent-side mutations never leak between sessions.  Table 2 of
 the paper is reproduced by :func:`case_inventory`.
 
 Synthetic cases are expensive to calibrate (the 300-bus system runs
-repeated N-1 sweeps during generation), so calibrated snapshots are
-shipped as JSON under ``cases/data/`` — regenerate them with
-``python scripts/generate_cases.py`` after changing the generator.  When a
-snapshot is missing the registry falls back to live generation, so the
-two paths always produce the same network (both are seeded by case name).
+repeated N-1 sweeps during generation).  No snapshots are committed: each
+process generates a synthetic case live on its first ``load_case`` and
+caches the master copy.  ``python scripts/generate_cases.py`` can bake
+snapshots into ``cases/data/`` as JSON, and the registry then loads
+those instead; both paths produce the same network (generation is
+seeded by case name), and ``tests/test_cases.py`` pins every generated
+case's digest.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ tiers, each cheaper than the last:
    solves across all still-active rows at once, walk each iterate most
    of the way in.
 3. **Warm-started Newton polish** — the full-Jacobian solver finishes
-   each remaining row to the exact scalar-path tolerance; rows it cannot
-   converge fall back to the caller's scalar recovery ladder.
+   each remaining row to the exact scalar-path tolerance, every row
+   filling its Jacobian through the kernel's one fixed-pattern assembler
+   (the rows share Ybus and PV/PQ partition); rows it cannot converge
+   fall back to the caller's scalar recovery ladder.
 
 The contract is *parity*, not bit-identity (Newton iterates are
 path-dependent): identical ``converged`` flags, identical overloaded-
@@ -50,10 +52,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import linalg as sla
 
-from ..grid.components import BusType
 from ..grid.network import Network
 from ..grid.units import deg_to_rad
 from .fast_decoupled import _series_susceptance_matrices
+from .jacobian import NewtonJacobian
 from .newton import _newton_inner, bus_power_injections, solve_newton
 from .solution import (
     FlowSummary,
@@ -182,10 +184,9 @@ class AcKernel:
         self.tol = tol
         self.max_iter = max_iter
         self.arr, self.adm = make_admittances(net)
-        arr = self.arr
-        self.pv = np.flatnonzero(arr.bus_type == int(BusType.PV))
-        self.pq = np.flatnonzero(arr.bus_type == int(BusType.PQ))
-        self.pvpq = np.concatenate([self.pv, self.pq])
+        #: Newton polish assembler: every row shares Ybus and partition.
+        self.jacobian = NewtonJacobian(self.adm.ybus, self.arr.bus_type)
+        self.pv, self.pq, self.pvpq = self.jacobian.pv, self.jacobian.pq, self.jacobian.pvpq
         self._base: PowerFlowResult | None = None
         self._base_v: np.ndarray | None = None
         self._fd_lus = None
@@ -325,12 +326,7 @@ class AcKernel:
             # Tier 3: per-row Newton polish to the scalar-path tolerance.
             for j, i in enumerate(active):
                 v_i, conv, iters, norm = _newton_inner(
-                    ybus,
-                    sbus[i],
-                    v_warm[j],
-                    self.arr.bus_type,
-                    self.tol,
-                    self.max_iter,
+                    self.jacobian, sbus[i], v_warm[j], self.tol, self.max_iter
                 )
                 v_out[i] = v_i
                 converged[i] = conv

@@ -17,7 +17,7 @@ from scipy.sparse import linalg as sla
 from ..grid.components import BusType
 from ..grid.network import Network, NetworkArrays
 from ..instrumentation.probes import instrument_solver
-from .newton import bus_power_injections
+from .newton import _initial_voltage, bus_power_injections
 from .solution import PowerFlowResult, finalize_solution, make_admittances
 
 
@@ -67,11 +67,7 @@ def solve_fast_decoupled(
     start = time.perf_counter()
     arr, adm = make_admittances(net)
 
-    v = (
-        np.asarray(v0, dtype=complex).copy()
-        if v0 is not None
-        else arr.vm0 * np.exp(1j * arr.va0)
-    )
+    v = _initial_voltage(arr, v0)
     vm = np.abs(v)
     va = np.angle(v)
 

@@ -1,10 +1,12 @@
 """Full Newton-Raphson AC power flow in polar coordinates.
 
 The production solver behind pandapower-style ``runpp`` semantics in this
-repo: sparse Jacobian assembled from :mod:`repro.powerflow.jacobian`,
-one sparse LU solve per iteration, optional generator Q-limit enforcement
-by PV→PQ switching, and warm starts from a previous solution (which is
-what makes the N-1 sweep cheap).
+repo: one sparse LU solve per iteration, optional generator Q-limit
+enforcement by PV→PQ switching, and warm starts from a previous solution
+(which is what makes the N-1 sweep cheap).  The Jacobian is filled over
+a pattern fixed per (Ybus, PV/PQ partition) by
+:class:`~repro.powerflow.jacobian.NewtonJacobian`: one assembler per
+inner run, or one shared by every row of a warm AC chunk.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import time
 
 import numpy as np
 from scipy.sparse import linalg as sla
-from scipy import sparse
 
 from ..grid.network import Network, NetworkArrays
-from ..grid.components import BusType
 from ..instrumentation.probes import instrument_solver
-from .jacobian import dSbus_dV
+from .jacobian import NewtonJacobian
 from .solution import PowerFlowResult, finalize_solution, make_admittances
 from .qlimits import enforce_q_limits
 
@@ -78,7 +78,7 @@ def solve_newton(
 
     for outer in range(max_outer):
         v, converged, iters, mismatch = _newton_inner(
-            adm.ybus, sbus, v, bus_type, tol, max_iter
+            NewtonJacobian(adm.ybus, bus_type), sbus, v, tol, max_iter
         )
         total_iters += iters
         if not converged:
@@ -117,18 +117,15 @@ def solve_newton(
 
 
 def _newton_inner(
-    ybus: sparse.spmatrix,
+    jacobian: NewtonJacobian,
     sbus: np.ndarray,
     v: np.ndarray,
-    bus_type: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, bool, int, float]:
-    """One Newton run with a fixed PV/PQ partition."""
-    pv = np.flatnonzero(bus_type == int(BusType.PV))
-    pq = np.flatnonzero(bus_type == int(BusType.PQ))
-    pvpq = np.concatenate([pv, pq])
-    npv, npq = len(pv), len(pq)
+    """One Newton run on ``jacobian``'s Ybus and fixed PV/PQ partition."""
+    ybus, pq, pvpq = jacobian.ybus, jacobian.pq, jacobian.pvpq
+    n_ang = len(pvpq)
 
     v = v.copy()
     vm = np.abs(v)
@@ -144,15 +141,8 @@ def _newton_inner(
         return v, True, 0, norm
 
     for it in range(1, max_iter + 1):
-        ds_dva, ds_dvm = dSbus_dV(ybus, v)
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = sparse.bmat([[j11, j12], [j21, j22]], format="csc")
-
         try:
-            dx = sla.spsolve(jac, -f)
+            dx = sla.spsolve(jacobian(v), -f)
         except RuntimeError:  # singular Jacobian: voltage collapse territory
             return v, False, it, norm
         if not np.all(np.isfinite(dx)):
@@ -166,8 +156,8 @@ def _newton_inner(
         # trial states are written in place over them, so the common case
         # (full step accepted) no longer pays two full-array copies, and
         # rejected fractions never duplicate the voltage vectors either.
-        dx_va = dx[: npv + npq]
-        dx_vm = dx[npv + npq :]
+        dx_va = dx[:n_ang]
+        dx_vm = dx[n_ang:]
         va_base = va[pvpq].copy()
         vm_base = vm[pq].copy()
         accepted = False

@@ -1,7 +1,11 @@
-"""Case registry and Table 2 component counts."""
+"""Case registry, Table 2 component counts and golden case digests."""
+
+import hashlib
+import json
 
 import pytest
 
+from repro.grid.io import to_matpower
 from repro.grid.cases import (
     TABLE2_COUNTS,
     available_cases,
@@ -22,6 +26,24 @@ def test_table2_counts_exact(name):
     assert net.n_load == nl
     assert net.n_line == nline
     assert net.n_transformer == ntr
+
+
+#: sha256 of each synthetic case's sorted-key MATPOWER JSON, recorded at
+#: commit 0858f6d.  The calibration runs hundreds of scalar power flows
+#: and sizes shunts from their voltages, so a solver whose results move
+#: by one last bit shows up here as a different case.
+GOLDEN_CASE_DIGESTS = {
+    "ieee30": "942968de3d4aea5b38f463e2a46db8e5be0cc8ebae22ad85cc1fdc4639288f80",
+    "ieee57": "471863d5659d9025c1e8f1f4a2cc4cf9379d1727e609c43daa0004c2b22bf8bf",
+    "ieee118": "8607f4a10c54e8d3370db108f421c8bd5b3aeed365e2592147ce4c4fbd8bd67a",
+    "ieee300": "5a43d8fa0170b1a57d173d4b9a53fed5c1e84ca8788b80fac6c309e5e9e026f7",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASE_DIGESTS))
+def test_synthetic_case_is_byte_identical(name):
+    text = json.dumps(to_matpower(load_case(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CASE_DIGESTS[name]
 
 
 def test_case_inventory_covers_all_paper_cases():

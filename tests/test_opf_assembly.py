@@ -7,8 +7,9 @@ pattern fixed per problem.  These tests pin that down from the outside:
   Lagrangian gradient ``df + dg' lam + dh' mu`` (ieee14/30/118 plus a
   property over random states),
 * identical ``indptr``/``indices`` on every call of every callback,
-* the equality Jacobian's voltage blocks against the Newton power flow's
-  independent sparse-product ``dSbus_dV``,
+* the equality Jacobian's voltage blocks against the independent
+  sparse-product ``dSbus_dV`` that ``tests/test_jacobian.py`` keeps as
+  the Newton Jacobian's reference,
 * vectorised generator costs bit-identical to per-generator
   ``np.polyval``/``np.polyder``,
 * solver parity against ``tests/data/acopf_parity.json``: results and
@@ -27,10 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.grid.cases import load_case
-from repro.opf.acopf import ACOPFProblem, FixedPattern, solve_acopf
+from repro.grid.pattern import FixedPattern
+from repro.opf.acopf import ACOPFProblem, solve_acopf
 from repro.opf.costs import PolynomialCosts
 from repro.opf.scopf import _SecuredProblem, _screen_violations, solve_scopf
-from repro.powerflow.jacobian import dSbus_dV
+from test_jacobian import dSbus_dV
 
 PARITY = json.loads((Path(__file__).parent / "data" / "acopf_parity.json").read_text())
 

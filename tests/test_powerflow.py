@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from repro.grid.cases import load_case
+from repro.grid.units import rad_to_deg
+from repro.powerflow.newton import bus_power_injections
+from repro.powerflow.solution import make_admittances
 from repro.powerflow import (
     solve_dc,
     solve_fast_decoupled,
@@ -46,6 +49,16 @@ class TestNewton:
     def test_warm_start_wrong_length_rejected(self, case14):
         with pytest.raises(ValueError, match="warm-start"):
             solve_newton(case14, v0=np.ones(5, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_newton, solve_fast_decoupled, solve_gauss_seidel,
+         lambda net, v0: solve_with_recovery(net, v0=v0)],
+        ids=["newton", "fast_decoupled", "gauss_seidel", "recovery"],
+    )
+    def test_every_solver_rejects_wrong_length_warm_start(self, case14, solve):
+        with pytest.raises(ValueError, match="warm-start voltage has 20 entries, expected 14"):
+            solve(case14, v0=np.ones(20, dtype=complex))
 
     def test_losses_positive(self, case14):
         res = solve_newton(case14)
@@ -113,6 +126,52 @@ class TestCrossMethodAgreement:
         fd = solve_fast_decoupled(case118, max_iter=150)
         assert fd.converged
         assert np.allclose(nr.vm, fd.vm, atol=1e-5)
+
+
+def _textbook_gauss_seidel(net, sweeps, acceleration, v0):
+    """The textbook per-bus sweep, with no plan: the reference
+    ``solve_gauss_seidel`` must reproduce bit for bit."""
+    arr, adm = make_admittances(net)
+    ybus = adm.ybus.tocsr()
+    v = np.asarray(v0, dtype=complex).copy()
+    sbus = bus_power_injections(arr)
+    pv = set(int(b) for b in arr.pv_buses)
+    slack = set(int(b) for b in arr.slack_buses)
+    ydiag = ybus.diagonal()
+    indptr, indices, data = ybus.indptr, ybus.indices, ybus.data
+    for _ in range(sweeps):
+        for bus in range(arr.n_bus):
+            if bus in slack:
+                continue
+            lo, hi = indptr[bus], indptr[bus + 1]
+            i_other = data[lo:hi] @ v[indices[lo:hi]] - ydiag[bus] * v[bus]
+            if bus in pv:
+                q_new = (v[bus] * np.conj(i_other + ydiag[bus] * v[bus])).imag
+                s = sbus[bus].real + 1j * q_new
+                v_new = (np.conj(s / v[bus]) - i_other) / ydiag[bus]
+                v[bus] = np.abs(v[bus]) * v_new / np.abs(v_new)
+            else:
+                v_new = (np.conj(sbus[bus] / v[bus]) - i_other) / ydiag[bus]
+                v[bus] = v[bus] + acceleration * (v_new - v[bus])
+    return v
+
+
+class TestGaussSeidelSweep:
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    @pytest.mark.parametrize("acceleration", [1.0, 1.4])
+    def test_sweep_is_bit_identical_to_textbook_loop(self, name, acceleration):
+        net = load_case(name)
+        net.scale_loads(1.15)
+        arr = net.compile()
+        rng = np.random.default_rng(11)
+        v0 = (arr.vm0 + rng.uniform(-0.05, 0.05, arr.n_bus)) * np.exp(
+            1j * (arr.va0 + rng.uniform(-0.1, 0.1, arr.n_bus))
+        )
+        res = solve_gauss_seidel(net, tol=0.0, max_iter=40, acceleration=acceleration, v0=v0)
+        want = _textbook_gauss_seidel(net, 40, acceleration, v0)
+        assert res.iterations == 40 and not res.converged
+        assert np.array_equal(res.vm, np.abs(want))
+        assert np.array_equal(res.va_deg, rad_to_deg(np.angle(want)))
 
 
 class TestDC:
