@@ -13,7 +13,9 @@ stack makes:
 * memory stays bounded by the window spec, never the feed length,
 * deterministic replay: a second identical run reproduces the digest
   and the alert sequence bit for bit, at two fleet sizes sharing a
-  device prefix,
+  device prefix, and so does the same watch run on a 2-worker
+  ``StudyExecutor``,
+* a dropout (devices that stop reporting) flags its window too,
 * ``gridmind watch --json`` exits 0 and its payload round-trips.
 
 Exits nonzero on the first violated invariant.
@@ -33,6 +35,7 @@ import sys
 from repro.core.cli import main as cli_main
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
+from repro.scenarios.executor import StudyExecutor
 from repro.telemetry import AnomalySpec, DeviceFleet, FleetSpec, run_watch
 
 N_TICKS = 16
@@ -46,7 +49,7 @@ def check(condition: bool, message: str) -> None:
     print(f"  ok: {message}")
 
 
-def watch_once(net, n_devices: int) -> dict:
+def watch_once(net, n_devices: int, kind: str = "load_spike", executor=None) -> dict:
     set_metrics(MetricsRegistry())
     return run_watch(
         net,
@@ -54,7 +57,8 @@ def watch_once(net, n_devices: int) -> dict:
         n_ticks=N_TICKS,
         window_ticks=WINDOW,
         seed=13,
-        anomaly=AnomalySpec(start_tick=5, duration_ticks=3, magnitude=2.5),
+        anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind=kind, magnitude=2.5),
+        executor=executor,
     )
 
 
@@ -100,6 +104,24 @@ def main() -> int:
     replay = watch_once(net, n_devices)
     check(replay["digest"] == out["digest"], "replay reproduces the digest")
     check(replay["alerts"] == out["alerts"], "replay reproduces the alert sequence")
+
+    with StudyExecutor(max_workers=2) as executor:
+        pooled = watch_once(net, n_devices, executor=executor)
+        n_chunks = executor.stats()["n_chunks"]
+    check(n_chunks == N_TICKS // WINDOW, f"the pooled watch ran {n_chunks} chunks on the pool")
+    check(pooled["digest"] == out["digest"], "the pooled watch reproduces the digest")
+    check(pooled["alerts"] == out["alerts"], "the pooled watch reproduces the alert sequence")
+
+    dropout = watch_once(net, n_devices, kind="dropout")
+    flagged = [w["index"] for w in dropout["windows"] if w["n_anomalous"]]
+    check(flagged == [1], f"dropout ticks 5-7 flag window 1 only ({flagged})")
+    check(
+        any(
+            a["rule"] == "telemetry_anomaly_rate" and a["transition"] == "firing"
+            for a in dropout["alerts"]
+        ),
+        "the dropout fires the anomaly-rate rule",
+    )
 
     bigger = watch_once(net, 4 * n_devices)
     check(

@@ -347,6 +347,7 @@ def build_study_registry(
             seed=seed,
             anomaly=anomaly,
             analysis=analysis,
+            executor=executor,
         )
         context.study_summary = payload
         context.record_provenance(
@@ -355,7 +356,7 @@ def build_study_registry(
             ok=True,
             duration_s=time.perf_counter() - t0,
             n_scenarios=payload["n_ticks"],
-            n_jobs=1,
+            n_jobs=executor.max_workers if executor is not None else 1,
         )
         return payload
 

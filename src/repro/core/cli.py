@@ -51,6 +51,7 @@ import sys
 
 from ..llm.profiles import PAPER_MODELS
 from ..scenarios.runner import ANALYSES
+from ..telemetry import ANOMALY_KINDS
 from .session import GridMindSession
 
 _BANNER = r"""
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--analysis",
-        choices=("powerflow", "dc", "dcopf", "acopf", "screening", "scopf"),
+        choices=ANALYSES,
         default="powerflow",
     )
     watch.add_argument(
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--anomaly-kind",
-        choices=("load_spike", "voltage_sag", "dropout"),
+        choices=ANOMALY_KINDS,
         default="load_spike",
     )
     watch.add_argument(

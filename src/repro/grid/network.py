@@ -99,6 +99,13 @@ class NetworkArrays:
         )
 
 
+def _clone(record):
+    """Field-for-field copy of one component record, without ``__init__``."""
+    twin = object.__new__(type(record))
+    twin.__dict__.update(record.__dict__)
+    return twin
+
+
 class Network:
     """A mutable power network: buses, generators, loads, branches.
 
@@ -367,12 +374,19 @@ class Network:
         raise KeyError(f"no branch between buses {from_bus} and {to_bus}")
 
     def copy(self) -> "Network":
-        """Deep copy; the copy starts with a fresh compile cache."""
+        """Deep copy: edits to the copy never reach this network.
+
+        Every component record is cloned on its own.  Each one is a
+        shallow clone, which is a full copy because every component field
+        holds an immutable value (number, string, enum or tuple of
+        floats); ``metadata`` is deep-copied.  The copy starts with a
+        fresh compile cache.
+        """
         clone = Network(self.base_mva, _copy.deepcopy(self.metadata))
-        clone.buses = _copy.deepcopy(self.buses)
-        clone.gens = _copy.deepcopy(self.gens)
-        clone.loads = _copy.deepcopy(self.loads)
-        clone.branches = _copy.deepcopy(self.branches)
+        clone.buses = [_clone(b) for b in self.buses]
+        clone.gens = [_clone(g) for g in self.gens]
+        clone.loads = [_clone(ld) for ld in self.loads]
+        clone.branches = [_clone(br) for br in self.branches]
         clone._bus_zones = dict(self._bus_zones)
         return clone
 

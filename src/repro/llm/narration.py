@@ -448,7 +448,7 @@ def narrate_watch_window(res: dict, verbosity: int) -> str:
         )
         if res.get("n_anomalous"):
             head += (
-                f", {res['n_anomalous']} tick(s) carried anomalous frames "
+                f", {res['n_anomalous']} tick(s) flagged anomalous "
                 f"({100.0 * res.get('anomaly_rate', 0.0):.0f}% of the window)"
             )
         head += "."
@@ -479,13 +479,18 @@ def narrate_watch(res: dict, verbosity: int) -> str:
         )
     ]
     flagged = [w for w in res.get("windows", []) if w.get("n_anomalous")]
+    windows_bit = (
+        ", ".join(str(w["index"]) for w in flagged[:6]) if flagged else "none"
+    )
     if res.get("n_anomaly_frames"):
-        windows_bit = (
-            ", ".join(str(w["index"]) for w in flagged[:6]) if flagged else "none"
-        )
         lines.append(
             f"{res['n_anomaly_frames']} frames carried an injected anomaly; "
             f"flagged windows: {windows_bit}."
+        )
+    elif flagged:
+        # Only a dropout flags a tick without a flagged frame.
+        lines.append(
+            f"Devices stopped reporting (dropout); flagged windows: {windows_bit}."
         )
     else:
         lines.append("No anomalous frames were observed.")

@@ -6,7 +6,9 @@ contingency screening, or preventive SCOPF.  Scenarios are independent,
 so a study is cut into chunks and evaluated either in-process or on a
 :class:`~repro.scenarios.executor.StudyExecutor` process pool — a shared
 one injected by the service layer, or an ephemeral one the run owns when
-``n_jobs > 1``.  Either way each chunk runs through one
+``n_jobs > 1``.  :meth:`BatchStudyRunner.chunk_stream` is that one
+dispatch path; batch studies and the telemetry watch both fold it.
+Either way each chunk runs through one
 :class:`_WorkerState`, which amortises the expensive shared state across
 every scenario it processes:
 
@@ -980,15 +982,35 @@ class BatchStudyRunner:
     worst_k: int = DEFAULT_WORST_K
 
     # ------------------------------------------------------------------
+    def _plan(
+        self, total: int | None
+    ) -> tuple[StudyExecutor | None, bool, int, int]:
+        """``(executor, owned, chunk, window)`` for ``total`` scenarios;
+        ``executor`` is ``None`` (and ``window`` 1) for in-process runs."""
+        executor, owned = None, False
+        if total is None or total >= 2:
+            if self.executor is not None:
+                executor = self.executor
+            elif self.n_jobs > 1:
+                executor, owned = StudyExecutor(
+                    max_workers=self.n_jobs if total is None else min(self.n_jobs, total)
+                ), True
+        if executor is None:
+            return None, False, self.chunk_size or default_chunk_size(total, 1), 1
+        chunk, window = executor.dispatch_plan(
+            total, chunk_size=self.chunk_size, window=self.window
+        )
+        return executor, owned, chunk, window
+
     def _serial_chunks(
-        self, base: Network, config: StudyConfig, scenarios, chunk: int
+        self, base: Network, scenarios, chunk: int
     ) -> Iterator[ChunkOutcome]:
         # Generator bodies run in the *caller's* context, so these live
         # ``worker.chunk`` spans parent under whatever span the fold loop
         # holds open when it draws the next chunk — same tree shape as
         # the pooled path, without serialising anything.
         tracer = get_tracer()
-        state = _WorkerState(base.copy(), config)
+        state = _WorkerState(base.copy(), self.config)
         for chunk_scns in iter_chunks(scenarios, chunk):
             tick = time.perf_counter()
             with tracer.span("worker.chunk", n_scenarios=len(chunk_scns)):
@@ -998,6 +1020,50 @@ class BatchStudyRunner:
                 worker_pid=os.getpid(),
                 wall_s=time.perf_counter() - tick,
             )
+
+    def chunk_stream(
+        self, base: Network, scenarios: Iterable[Scenario], plan=None
+    ) -> Iterator[ChunkOutcome]:
+        """Evaluated chunks of ``scenarios`` in order: the one dispatch
+        path batch studies (:meth:`run`) and the telemetry watch fold.
+
+        Each outcome is billed before it is yielded: worker spans
+        adopted, worker metrics merged, wall time observed.  The dispatch
+        span stays open while the consumer folds, so the consumer's spans
+        and the pooled chunks' worker spans parent under it.  Close the
+        stream (``contextlib.closing``): that cancels queued chunks and
+        shuts down an executor the stream owns.
+        """
+        executor, owned, chunk, window = plan or self._plan(stream_length(scenarios))
+        if executor is not None:
+            dispatch_name, jobs = "executor.dispatch", executor.max_workers
+            outcomes = executor.run_study_chunks(
+                base, self.config, scenarios, chunk_size=chunk, window=window
+            )
+        else:
+            dispatch_name, jobs = "serial.dispatch", 1
+            outcomes = self._serial_chunks(base, scenarios, chunk)
+        tracer = get_tracer()
+        metrics = get_metrics()
+        # Worker-side chunk wall: the latency signal the chunk_wall_p95
+        # health rule watches, and the executor occupancy billed to the
+        # session.
+        chunk_wall = metrics.histogram(
+            "gridmind_chunk_wall_seconds", "Worker-side study chunk wall time"
+        )
+        # On any exit the chunk iterator closes first (cancelling queued
+        # chunks), then an executor this stream owns shuts down.
+        with (
+            tracer.span(dispatch_name, n_jobs=jobs),
+            executor if owned else nullcontext(),
+            closing(outcomes),
+        ):
+            for outcome in outcomes:
+                tracer.adopt(outcome.spans)
+                metrics.merge_state(outcome.metrics)
+                chunk_wall.observe(outcome.wall_s)
+                record_chunk(len(outcome.results), outcome.wall_s)
+                yield outcome
 
     # ------------------------------------------------------------------
     def run(
@@ -1018,33 +1084,11 @@ class BatchStudyRunner:
         # consumed generator would silently hash as an empty study.
         scenarios = as_stream(scenarios)
         total = stream_length(scenarios)
-
-        executor = owned = None
-        if total is None or total >= 2:
-            if self.executor is not None:
-                executor = self.executor
-            elif self.n_jobs > 1:
-                executor = owned = StudyExecutor(
-                    max_workers=self.n_jobs if total is None else min(self.n_jobs, total)
-                )
-        if executor is not None:
-            jobs = executor.max_workers
-            dispatch_name = "executor.dispatch"
-            chunk, window = executor.dispatch_plan(
-                total, chunk_size=self.chunk_size, window=self.window
-            )
-            # The residency bound below accounts for undrained futures.
-            in_flight_extra = (window - 1) * chunk
-            chunk_iter = executor.run_study_chunks(
-                base, config, scenarios,
-                chunk_size=self.chunk_size, window=self.window,
-            )
-        else:
-            jobs = 1
-            dispatch_name = "serial.dispatch"
-            chunk = self.chunk_size or default_chunk_size(total, 1)
-            in_flight_extra = 0
-            chunk_iter = self._serial_chunks(base, config, scenarios, chunk)
+        plan = self._plan(total)
+        executor, _owned, chunk, window = plan
+        jobs = executor.max_workers if executor is not None else 1
+        # The residency bound below accounts for undrained futures.
+        in_flight_extra = (window - 1) * chunk
 
         # The dimensional reducer degenerates to the plain global one for
         # an empty slice spec, so every study takes the same path.
@@ -1056,32 +1100,12 @@ class BatchStudyRunner:
         n_events = 0
         peak_resident = 0
 
-        # The dispatch span is held open by *this* consumer loop: chunk
-        # iterators are generators, so every submission they make while
-        # being drained captures this span as the remote parent — which
-        # is how worker-chunk spans end up parented under it.  On any exit
-        # the chunk iterator closes first (cancelling queued chunks), then
-        # an executor this run owns shuts down with its workers.
         with tracer.span("study.run", analysis=config.analysis, case=base.name) as root:
-            with (
-                tracer.span(dispatch_name, n_jobs=jobs),
-                owned or nullcontext(),
-                closing(chunk_iter),
-            ):
-                for outcome in chunk_iter:
+            with closing(self.chunk_stream(base, scenarios, plan)) as outcomes:
+                for outcome in outcomes:
                     chunk_results = outcome.results
                     n_done += len(chunk_results)
                     n_chunks += 1
-                    tracer.adopt(outcome.spans)
-                    metrics.merge_state(outcome.metrics)
-                    # Worker-side chunk wall: the latency signal the
-                    # chunk_wall_p95 health rule watches, and the
-                    # executor occupancy billed to the session.
-                    metrics.histogram(
-                        "gridmind_chunk_wall_seconds",
-                        "Worker-side study chunk wall time",
-                    ).observe(outcome.wall_s)
-                    record_chunk(len(chunk_results), outcome.wall_s)
                     with tracer.span("study.reduce", n_results=len(chunk_results)):
                         reducer.add_many(chunk_results)
                         for r in chunk_results:

@@ -420,6 +420,7 @@ class GridMindService:
                 pace=request.pace,
                 speedup=request.speedup,
                 on_window=on_window,
+                executor=self.executor,
             )
         return WatchReply(
             session_id=request.session_id,

@@ -16,7 +16,8 @@ grid rather than running one-shot studies):
   feed) plus the :func:`telemetry_rules` health glue,
 * :mod:`repro.telemetry.watch` — :func:`run_watch`, the shared engine
   behind ``gridmind watch``, the service's ``WatchRequest`` surface, and
-  the study agent's watch tool.
+  the study agent's watch tool; its ticks run through the batch
+  runner's chunk stream, on a shared executor when one is given.
 
 Quickstart::
 

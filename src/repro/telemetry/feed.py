@@ -114,14 +114,18 @@ class TelemetryStream:
                 sorted(deviation),
                 key=lambda z: sum(deviation[z]) / len(deviation[z]),
             )
-        anomalies = sorted({f.anomaly for f in frames if f.anomaly})
         n_expected = fleet.n_devices
+        # A frame is absent only under a dropout, which leaves no frame
+        # to carry its label: the missing frames are the flag.
+        labels = {f.anomaly for f in frames if f.anomaly}
+        if len(frames) < n_expected:
+            labels.add("dropout")
         tags = {
             "family": self.family,
             "tick": tick,
             "hour_of_day": int(fleet.hour_at(tick)),
             "feeder": hot_feeder,
-            "anomaly": ",".join(anomalies) if anomalies else "none",
+            "anomaly": ",".join(sorted(labels)) if labels else "none",
             "n_frames": len(frames),
             "n_dropped": n_expected - len(frames),
         }

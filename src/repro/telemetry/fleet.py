@@ -321,18 +321,26 @@ class DeviceFleet:
         """Per-bus net load factor this tick, relative to meter nominal.
 
         The factor a bus's case loads should be scaled by to reflect the
-        fleet's current draw: (meter draw + DER injection) over the bus's
-        nominal meter base.  DER injection can push a bus negative; the
-        factor clamps at zero (net export beyond the case load is out of
-        scope for the load-scaling adapter).  Buses with no metered
-        devices are omitted — the case loads there stay untouched.
+        fleet's current draw: (meter draw + DER injection) over the
+        nominal base of the bus's meters *that reported this tick*.  DER
+        injection can push a bus negative; the factor clamps at zero (net
+        export beyond the case load is out of scope for the load-scaling
+        adapter).  Buses with no reporting meter are omitted, so their
+        case loads stay untouched: a dropout hides a bus's draw rather
+        than zeroing it, and a partial dropout rescales the bus by the
+        meters still reporting.  On a tick where every device reports,
+        each base sums the same meters in the same order, so the factors
+        are those of the full fleet bit for bit.
         """
         if frames is None:
             frames = self.frames_for_tick(tick)
+        devices = self._devices
         base: dict[int, float] = {}
-        for device in self._devices:
-            if device.kind == METER:
-                base[device.bus] = base.get(device.bus, 0.0) + device.base_mw
+        for frame in frames:
+            if frame.kind == METER:
+                base[frame.bus] = (
+                    base.get(frame.bus, 0.0) + devices[frame.device_id].base_mw
+                )
         actual: dict[int, float] = {}
         for frame in frames:
             if frame.bus in base:

@@ -2,12 +2,26 @@
 
 One synchronous loop shared by every watch front end (the ``gridmind
 watch`` CLI, the service's ``WatchRequest`` surface, and the study
-agent's watch tool): drive the telemetry stream tick by tick, evaluate
-each tick's operating point through the same worker-state code path
-batch studies use, fold the result into the rolling-window study, and —
-on every closed window — publish the rollup to the metrics registry,
-take a simulated-clock sampler snapshot, and let the health monitor turn
-it into edge-triggered alerts.
+agent's watch tool).  The parent synthesises each tick's frames and
+adapts them into one scenario; the ticks then run through the same chunk
+stream every batch study uses
+(:meth:`~repro.scenarios.runner.BatchStudyRunner.chunk_stream`), on the
+caller's :class:`~repro.scenarios.executor.StudyExecutor` when one is
+given and in-process otherwise.  Each chunk is one window slide, and
+ticks run cold (``ac_mode="cold"``): every power-flow tick takes the
+scalar solve, so pooled and serial watches produce the same bits.  Each
+tick result is folded into the rolling-window study in tick order, and
+on every closed window the loop publishes the rollup to the metrics
+registry, takes a simulated-clock sampler snapshot, and lets the health
+monitor turn it into edge-triggered alerts.
+
+Billing happens at fold time.  The frame, anomaly-frame and tick
+counters are bumped when a tick's result is folded, once per tick and
+device kind, from counts the parent kept when it drew the tick (not from
+scenario tags, which reach the window digest).  The frame generator runs
+ahead of the fold by up to the executor's in-flight window, but every
+window close samples the same telemetry series whether the watch runs
+serial or pooled.
 
 Determinism: with ``pace="simulated"`` everything the loop touches is a
 pure function of (network, fleet spec, window spec) — per-device seeds,
@@ -15,12 +29,14 @@ per-tick solves, reducer folds, and sampler timestamps (simulated
 seconds, ``end_tick * interval_s``, never the wall clock).  Two runs with
 the same inputs produce bit-identical per-window aggregates (asserted
 via :func:`~repro.telemetry.window.windows_digest`) and the same alert
-sequence.
+sequence, on any executor.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
+from contextlib import closing
 from typing import Callable, Sequence
 
 from ..grid.network import Network
@@ -29,7 +45,9 @@ from ..instrumentation.metrics import get_metrics
 from ..instrumentation.rollup import MetricsSampler
 from ..instrumentation.trace import get_tracer
 from ..scenarios.aggregate import DEFAULT_SLICE_MAX_VALUES
-from ..scenarios.runner import StudyConfig, _WorkerState
+from ..scenarios.executor import StudyExecutor
+from ..scenarios.runner import BatchStudyRunner, StudyConfig
+from ..scenarios.stream import ScenarioStream
 from .feed import DEFAULT_SPEEDUP, PACE_SIMULATED, TelemetryStream
 from .fleet import DEFAULT_INTERVAL_S, AnomalySpec, DeviceFleet, FleetSpec
 from .window import (
@@ -61,6 +79,7 @@ def run_watch(
     speedup: float = DEFAULT_SPEEDUP,
     rules: Sequence[HealthRule] | None = None,
     on_window: Callable[[dict], None] | None = None,
+    executor: StudyExecutor | None = None,
 ) -> dict:
     """Run a bounded watch and return its full, JSON-ready outcome.
 
@@ -70,6 +89,10 @@ def run_watch(
     return value repeats every window (with alerts attached), the alert
     log, and a digest over the pure window aggregates for determinism
     checks.
+
+    ``executor`` (optional) runs the ticks on a shared process pool, as
+    :class:`~repro.scenarios.runner.BatchStudyRunner` does; without one
+    they run in-process.  The outcome is identical either way.
     """
     fleet_spec = FleetSpec(
         n_devices=n_devices,
@@ -88,7 +111,24 @@ def run_watch(
         max_values=max_values,
     )
     study = RollingWindowStudy(window_spec)
-    state = _WorkerState(net, StudyConfig(analysis=analysis))
+    runner = BatchStudyRunner(
+        StudyConfig(analysis=analysis, ac_mode="cold"),
+        chunk_size=window_spec.slide_ticks,
+        executor=executor,
+    )
+    # Frame counts of each drawn tick, by device kind and by anomaly,
+    # held until the tick's result is folded.
+    drawn: dict[int, tuple[Counter, Counter]] = {}
+
+    def feed():
+        for tick, frames in stream.tick_batches():
+            drawn[tick] = (
+                Counter(f.kind for f in frames),
+                Counter(f.anomaly for f in frames if f.anomaly),
+            )
+            yield stream.scenario_for_tick(tick, frames)
+
+    ticks = ScenarioStream(feed, length=n_ticks, family=stream.family)
 
     registry = get_metrics()
     # A dedicated sampler/monitor pair on simulated time: the service's
@@ -165,19 +205,20 @@ def run_watch(
     with get_tracer().span(
         "telemetry.watch", case=net.name, n_devices=n_devices, n_ticks=n_ticks
     ):
-        for tick, frames in stream.tick_batches():
-            ticks_counter.inc()
-            for frame in frames:
-                frames_counter.inc(kind=frame.kind)
-                if frame.anomaly:
-                    anomaly_frames.inc(kind=frame.anomaly)
-                    n_anomaly_frames += 1
-            n_frames += len(frames)
-            scenario = stream.scenario_for_tick(tick, frames)
-            result = state.run_scenario(scenario)
-            results_counter.inc()
-            for closed in study.add(result):
-                close_window(closed)
+        with closing(runner.chunk_stream(net, ticks)) as outcomes:
+            for outcome in outcomes:
+                for result in outcome.results:
+                    kinds, anomalies = drawn.pop(result.tags["tick"])
+                    ticks_counter.inc()
+                    for kind, count in kinds.items():
+                        frames_counter.inc(count, kind=kind)
+                    for kind, count in anomalies.items():
+                        anomaly_frames.inc(count, kind=kind)
+                    n_frames += sum(kinds.values())
+                    n_anomaly_frames += sum(anomalies.values())
+                    results_counter.inc()
+                    for closed in study.add(result):
+                        close_window(closed)
         for closed in study.finalize():
             close_window(closed)
 

@@ -313,7 +313,7 @@ def telemetry_rules(
             metric="gridmind_telemetry_window_anomaly_rate",
             warn=anomaly_warn,
             crit=anomaly_crit,
-            help="latest window's fraction of ticks carrying anomalous frames",
+            help="latest window's fraction of ticks flagged anomalous (frames or dropout)",
         ),
         HealthRule(
             name="telemetry_late_drop_rate",

@@ -1,9 +1,14 @@
 """Network container: construction, mutation, compiled views."""
 
+import dataclasses
+import enum
+
 import numpy as np
 import pytest
 
+from repro.grid.cases import load_case
 from repro.grid.components import BusType
+from repro.grid.io import to_matpower
 from repro.grid.network import Network
 
 
@@ -122,6 +127,70 @@ def test_copy_is_independent(tiny_net):
     clone = tiny_net.copy()
     clone.set_load(1, 999.0)
     assert tiny_net.loads_at_bus(1)[0].pd_mw == pytest.approx(60.0)
+
+
+_COMPONENT_LISTS = ("buses", "gens", "loads", "branches")
+
+
+def _records(net):
+    return [c for name in _COMPONENT_LISTS for c in getattr(net, name)]
+
+
+def _other(value):
+    """A different value of the same immutable kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "_edited"
+    if isinstance(value, tuple):
+        return value + (1.0,)
+    raise TypeError(f"no edit rule for {type(value).__name__}")
+
+
+@pytest.fixture(params=["tiny", "ieee14", "ieee30", "ieee118"])
+def any_net(request, tiny_net):
+    return tiny_net if request.param == "tiny" else load_case(request.param)
+
+
+def test_copy_serializes_identically(any_net):
+    before = to_matpower(any_net)
+    clone = any_net.copy()
+    assert to_matpower(clone) == before
+    assert to_matpower(any_net) == before
+    assert clone.bus_zones() == any_net.bus_zones()
+
+
+def test_copy_edits_never_reach_the_original(any_net):
+    snapshot = [dataclasses.asdict(c) for c in _records(any_net)]
+    meta = dataclasses.asdict(any_net.metadata)
+    clone = any_net.copy()
+    clone.metadata.extras["edited"] = True
+    clone.set_bus_zones({0: "edited"})
+    for original, twin in zip(_records(any_net), _records(clone)):
+        assert twin is not original and type(twin) is type(original)
+        for f in dataclasses.fields(twin):
+            setattr(twin, f.name, _other(getattr(twin, f.name)))
+    assert [dataclasses.asdict(c) for c in _records(any_net)] == snapshot
+    assert dataclasses.asdict(any_net.metadata) == meta
+    assert any_net.bus_zones()[0] != "edited"
+
+
+def test_component_fields_are_immutable(any_net):
+    """``Network.copy`` clones records shallowly, which is a full copy
+    only while every field holds an immutable value: a mutable field
+    added later must fail here instead of leaking edits between copies."""
+    for record in _records(any_net):
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            assert isinstance(value, (bool, int, float, str, enum.Enum, tuple)), (
+                type(record).__name__, f.name, type(value).__name__
+            )
+            if isinstance(value, tuple):
+                assert all(isinstance(v, (int, float)) for v in value)
 
 
 def test_compile_caches_until_touch(tiny_net):

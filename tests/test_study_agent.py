@@ -9,6 +9,7 @@ from repro.core.context import AgentContext
 from repro.core.agents.study_agent import build_study_registry
 from repro.core.session import GridMindSession
 from repro.llm.nlu import Intent, classify
+from repro.scenarios.executor import StudyExecutor
 
 
 @pytest.fixture
@@ -82,6 +83,29 @@ class TestStudyTools:
         )
         after = json.loads(registry.call("get_study_status", {}))
         assert after["study"]["n_scenarios"] == 2
+
+
+class TestWatchTool:
+    ARGS = {"case_name": "ieee14", "n_devices": 30, "n_windows": 2, "window_ticks": 4}
+
+    def test_watch_runs_on_the_session_executor(self):
+        context = AgentContext()
+        with StudyExecutor(max_workers=2) as executor:
+            pooled = json.loads(
+                build_study_registry(context, executor=executor).call(
+                    "watch_telemetry", self.ARGS
+                )
+            )
+            stats = executor.stats()
+        assert stats["n_chunks"] == 2  # one chunk per window
+        assert context.provenance[-1].tool == "watch_telemetry"
+        assert context.provenance[-1].options["n_jobs"] == 2
+        serial_context = AgentContext()
+        serial = json.loads(
+            build_study_registry(serial_context).call("watch_telemetry", self.ARGS)
+        )
+        assert serial_context.provenance[-1].options["n_jobs"] == 1
+        assert pooled["digest"] == serial["digest"]
 
 
 class TestRoutingAndNLU:

@@ -9,7 +9,10 @@ import pytest
 
 from repro.core.cli import main as cli_main
 from repro.grid.cases import load_case
+from repro.instrumentation.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.llm.narration import narrate_watch
 from repro.llm.nlu import Intent, classify
+from repro.scenarios.executor import StudyExecutor
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import ZonalLoadScale
 from repro.service import GridMindService, WatchRequest
@@ -87,6 +90,59 @@ class TestFleet:
             ),
         )
         assert dropped.frames_for_tick(2) == []
+
+    def test_factors_of_a_full_tick_are_bit_identical(self, ieee14):
+        """Every device reporting: each bus's base sums all its meters in
+        device order, exactly as the full-fleet formula does."""
+        fleet = DeviceFleet(ieee14, FleetSpec(n_devices=80, seed=6))
+        base: dict[int, float] = {}
+        for device in fleet.devices:
+            if device.kind == "meter":
+                base[device.bus] = base.get(device.bus, 0.0) + device.base_mw
+        for tick in (0, 17, 60):
+            actual: dict[int, float] = {}
+            for frame in fleet.frames_for_tick(tick):
+                if frame.bus in base:
+                    actual[frame.bus] = actual.get(frame.bus, 0.0) + frame.load_mw
+            expected = {
+                bus: max(0.0, actual.get(bus, 0.0) / b) for bus, b in sorted(base.items())
+            }
+            assert fleet.tick_bus_factors(tick) == expected
+
+    def test_dropout_leaves_buses_out_instead_of_zeroing_them(self, ieee14):
+        clean = DeviceFleet(ieee14, FleetSpec(n_devices=60, seed=2))
+        feeder = clean.devices[0].feeder
+        dropped = DeviceFleet(
+            ieee14,
+            FleetSpec(
+                n_devices=60, seed=2,
+                anomalies=(AnomalySpec(start_tick=3, kind="dropout", feeder=feeder),),
+            ),
+        )
+        full = clean.tick_bus_factors(3)
+        silent = {d.bus for d in clean.devices if d.feeder == feeder}
+        assert silent & full.keys()
+        # The silent feeder's buses keep their case loads (no factor at
+        # all); every other bus reads its clean factor bit for bit.
+        assert dropped.tick_bus_factors(3) == {
+            bus: f for bus, f in full.items() if bus not in silent
+        }
+        scenario = TelemetryStream(dropped, 4).scenario_for_tick(3)
+        assert scenario.tags["anomaly"] == "dropout"
+        assert scenario.tags["n_dropped"] > 0
+        assert TelemetryStream(dropped, 4).scenario_for_tick(2).tags["anomaly"] == "none"
+
+    def test_bus_normalised_by_the_meters_that_reported(self, ieee14):
+        fleet = DeviceFleet(ieee14, FleetSpec(n_devices=80, seed=6, der_fraction=0.0))
+        frames = fleet.frames_for_tick(10)
+        by_bus: dict[int, list] = {}
+        for frame in frames:
+            by_bus.setdefault(frame.bus, []).append(frame)
+        bus, reported = next((b, fs) for b, fs in by_bus.items() if len(fs) >= 2)
+        kept = [f for f in frames if f is not reported[0]]
+        base = sum(fleet.devices[f.device_id].base_mw for f in reported[1:])
+        load = sum(f.load_mw for f in reported[1:])
+        assert fleet.tick_bus_factors(10, kept)[bus] == pytest.approx(load / base)
 
     def test_feeder_anomaly_limits_blast_radius(self, ieee14):
         fleet = DeviceFleet(ieee14, FleetSpec(n_devices=60, seed=2))
@@ -360,11 +416,85 @@ class TestRunWatch:
                 ieee14, analysis="magic", n_devices=20, n_ticks=8, window_ticks=4
             )
 
+    def test_dropout_surfaces_end_to_end(self, ieee14):
+        out = _watch(
+            ieee14,
+            n_ticks=12,
+            anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind="dropout"),
+        )
+        assert [w["n_anomalous"] for w in out["windows"]] == [0, 3, 0]
+        fired = [
+            a for a in out["alerts"]
+            if a["rule"] == "telemetry_anomaly_rate" and a["transition"] == "firing"
+        ]
+        assert fired and fired[0]["status"] == "crit"
+        # A silenced fleet keeps the case loads instead of zeroing them,
+        # so the dropped ticks still converge.
+        assert out["windows"][1]["n_converged"] == 4
+        assert "dropout); flagged windows: 1." in narrate_watch(out, 1)
+
     def test_on_window_streams_in_order(self, ieee14):
         seen = []
         out = _watch(ieee14, on_window=lambda u: seen.append(u["index"]))
         assert seen == sorted(seen)
         assert len(seen) == out["n_windows"] == 2
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with StudyExecutor(max_workers=2) as executor:
+        yield executor
+
+
+def _metered_watch(net, **kw):
+    """One watch on a fresh registry: its outcome, the windows streamed to
+    ``on_window``, and the telemetry counter totals it billed."""
+    streamed = []
+    previous = set_metrics(MetricsRegistry())
+    try:
+        out = _watch(net, on_window=streamed.append, **kw)
+        counters = {
+            name: entry["series"]
+            for name, entry in get_metrics().state()["counters"].items()
+            if name.startswith("gridmind_telemetry_")
+        }
+    finally:
+        set_metrics(previous)
+    return out, streamed, counters
+
+
+_POOLED_WATCHES = {
+    "spike": dict(anomaly=AnomalySpec(start_tick=5, duration_ticks=3, magnitude=2.5)),
+    "dropout": dict(anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind="dropout")),
+    "sliding": dict(slide_ticks=2),
+    "dc": dict(analysis="dc"),
+}
+
+
+class TestWatchOnExecutor:
+    @pytest.mark.parametrize("name", sorted(_POOLED_WATCHES))
+    def test_pooled_equals_serial(self, ieee14, pool, name):
+        kw = dict(n_ticks=12, **_POOLED_WATCHES[name])
+        serial, serial_streamed, serial_counts = _metered_watch(ieee14, **kw)
+        chunks_before = pool.stats()["n_chunks"]
+        pooled, pooled_streamed, pooled_counts = _metered_watch(
+            ieee14, executor=pool, **kw
+        )
+        # One chunk per window slide, all of them on the pool.
+        assert pool.stats()["n_chunks"] - chunks_before == 12 // pooled["slide_ticks"]
+        assert pooled["digest"] == serial["digest"]
+        assert pooled["windows"] == serial["windows"]
+        assert pooled["alerts"] == serial["alerts"]
+        assert pooled["n_frames"] == serial["n_frames"]
+        assert pooled["n_anomaly_frames"] == serial["n_anomaly_frames"]
+        assert pooled_counts == serial_counts
+        ticks = pooled_counts["gridmind_telemetry_ticks_total"]
+        frames = pooled_counts["gridmind_telemetry_frames_total"]
+        assert sum(ticks.values()) == 12
+        assert sum(frames.values()) == pooled["n_frames"]
+        # Every window reaches on_window once, in index order, as returned.
+        assert pooled_streamed == serial_streamed == pooled["windows"]
+        assert [w["index"] for w in pooled_streamed] == list(range(pooled["n_windows"]))
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +513,12 @@ class TestServiceWatch:
                     anomaly_duration=2, anomaly_magnitude=2.5,
                 )
                 reply = await svc.watch(request, on_update=streamed.append)
-                return reply, streamed
+                return reply, streamed, svc.executor.stats()
 
-        reply, streamed = asyncio.run(go())
+        reply, streamed, pool_stats = asyncio.run(go())
         assert reply.n_windows == 2
+        # The ticks ran on the service's shared pool, one chunk per window.
+        assert pool_stats["n_chunks"] == 2
         assert reply.digest
         assert len(streamed) == 2
         assert all(u.narration for u in reply.updates)
