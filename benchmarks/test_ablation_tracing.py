@@ -1,30 +1,35 @@
 """E15 — Ablation: observability overhead on a streamed ensemble study.
 
 The tracing/metrics stack is designed to be always-on cheap: metrics are
-plain dict increments shipped per chunk as a state delta, spans are only
-allocated when a recording tracer is installed, and untraced studies pay
-a single ``None`` check per chunk.  This benchmark runs the same
-Monte-Carlo ensemble through the shared
-:class:`~repro.scenarios.executor.StudyExecutor` in three modes —
+plain dict increments, spans are only allocated when a recording tracer
+is installed, and untraced studies pay a single ``None`` check per
+chunk.  This benchmark runs the same Monte-Carlo ensemble in-process in
+three modes —
 
-* ``off``        — metrics registry disabled (workers mirror it), no tracer,
-* ``metrics``    — the always-on registry collecting and merging deltas,
-* ``metrics+trace`` — additionally a recording tracer with full
-  cross-process span stitching (the ``--trace`` path),
+* ``off``        — metrics registry disabled, no tracer,
+* ``metrics``    — the always-on registry collecting every metric,
+* ``metrics+trace`` — additionally a recording tracer (the ``--trace``
+  path).
 
-alternating the mode order across repeats and keeping the per-mode
-minimum wall time (the noise-robust estimator), then reports the
-overhead of each mode over ``off``.  Acceptance: metrics overhead < 2 %
-and tracing overhead < 10 % at ensemble scale; the committed table was
-recorded at 10 000 scenarios.  Small tier-1 runs assert structure plus a
-loose noise guard instead of the headline thresholds —
-``GRIDMIND_E15_SCENARIOS`` scales the ensemble (>= 2000 engages the
-strict thresholds).
+The ensemble is cut into slices of ``SLICE`` scenarios.  Each round runs
+one slice in all three modes back to back, rotating the order across
+rounds, and yields a paired ratio per mode: its wall time over the same
+round's ``off`` run.  The overhead is the median of those ratios minus
+one.  Running in-process keeps pool chunk placement out of the wall
+time; pairing runs a fraction of a second apart cancels the drift of a
+shared host's speed, and the median over ``REPEATS`` passes of every
+slice drops the rounds a burst of neighbour load lands on.  Acceptance:
+metrics overhead < 2 % and tracing overhead < 10 % at ensemble scale;
+small tier-1 runs assert structure plus a loose noise guard instead of
+the headline thresholds — ``GRIDMIND_E15_SCENARIOS`` scales the ensemble
+(>= 2000 engages the strict thresholds).
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -36,14 +41,13 @@ from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.instrumentation.trace import tracing
 from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
-from repro.service import StudyExecutor
 
 CASE = "ieee14"
 N_SCENARIOS = int(os.environ.get("GRIDMIND_E15_SCENARIOS", "400"))
-REPEATS = int(os.environ.get("GRIDMIND_E15_REPEATS", "3"))
-JOBS = 2
+REPEATS = int(os.environ.get("GRIDMIND_E15_REPEATS", "5"))
 CHUNK = 100
-WINDOW = 4
+#: Scenarios per round: one chunk, ~0.1-0.3 s per run on a 2-vCPU host.
+SLICE = CHUNK
 
 #: The headline acceptance thresholds only engage at ensemble scale;
 #: at tier-1 sizes a single scheduler hiccup exceeds 2 % of the run.
@@ -54,21 +58,21 @@ MAX_TRACING_OVERHEAD = 0.10 if N_SCENARIOS >= STRICT_SCALE else 0.30
 MODES = ("off", "metrics", "metrics+trace")
 
 
-def _run_once(executor, mode: str):
+def _run_once(mode: str, scenarios):
     net = load_case(CASE)
-    scenarios = monte_carlo_ensemble(n=N_SCENARIOS, sigma=0.05, seed=42)
     # ac_mode="cold" pins the per-scenario solve path: this ablation
     # measures the per-scenario span/metrics machinery, which the warm
     # AC kernel (one chunk-level span per batch) deliberately bypasses.
     runner = BatchStudyRunner(
-        StudyConfig(analysis="powerflow", ac_mode="cold"),
-        executor=executor,
-        chunk_size=CHUNK,
-        window=WINDOW,
+        StudyConfig(analysis="powerflow", ac_mode="cold"), chunk_size=CHUNK
     )
     registry = MetricsRegistry(enabled=(mode != "off"))
     previous = set_metrics(registry)
     n_spans = 0
+    # As timeit does: collect first and keep the cyclic collector out of
+    # the timed run, so no mode pays for garbage another one left.
+    gc.collect()
+    gc.disable()
     try:
         tick = time.perf_counter()
         if mode == "metrics+trace":
@@ -79,50 +83,62 @@ def _run_once(executor, mode: str):
             study = runner.run(net, scenarios, keep_results=False)
         wall = time.perf_counter() - tick
     finally:
+        gc.enable()
         set_metrics(previous)
     return study, wall, n_spans, registry
 
 
 def test_ablation_tracing(benchmark):
+    ensemble = monte_carlo_ensemble(n=N_SCENARIOS, sigma=0.05, seed=42)
+    slices = [ensemble[lo : lo + SLICE] for lo in range(0, N_SCENARIOS, SLICE)]
     walls: dict[str, list[float]] = {m: [] for m in MODES}
-    studies: dict[str, object] = {}
+    # Per mode, the last pass's per-slice aggregates, scenario counts
+    # and span counts.
+    aggregates: dict[str, list[dict]] = {m: [] for m in MODES}
+    scenarios_billed: dict[str, float] = {}
     spans: dict[str, int] = {}
-    registries: dict[str, MetricsRegistry] = {}
+    off_counters: list[dict] = []
 
     def _run_all():
-        with StudyExecutor(max_workers=JOBS) as executor:
-            # Warm the pool + content-addressed worker state so no mode
-            # pays start-up.
-            _run_once(executor, "off")
-            for repeat in range(REPEATS):
-                # Rotate the order so slow drift (thermal, page cache)
-                # spreads across modes instead of biasing the last one.
-                for mode in MODES[repeat % len(MODES):] + MODES[: repeat % len(MODES)]:
-                    study, wall, n_spans, registry = _run_once(executor, mode)
+        # Warm the case cache and the kernels so no mode pays start-up.
+        _run_once("off", slices[0])
+        for repeat in range(REPEATS):
+            last = repeat == REPEATS - 1
+            for i, part in enumerate(slices):
+                # Rotate the order so no mode always runs first or last.
+                shift = (repeat * len(slices) + i) % len(MODES)
+                for mode in MODES[shift:] + MODES[:shift]:
+                    study, wall, n_spans, registry = _run_once(mode, part)
                     walls[mode].append(wall)
-                    studies[mode] = study
-                    registries[mode] = registry
-                    spans[mode] = max(spans.get(mode, 0), n_spans)
+                    if not last:
+                        continue
+                    aggregates[mode].append(study.aggregate().to_dict())
+                    scenarios_billed[mode] = scenarios_billed.get(mode, 0.0) + (
+                        registry.counter("gridmind_scenarios_total").total()
+                    )
+                    spans[mode] = spans.get(mode, 0) + n_spans
+                    if mode == "off":
+                        off_counters.append(registry.state().get("counters", {}))
 
     benchmark.pedantic(_run_all, rounds=1, iterations=1)
 
-    best = {mode: min(walls[mode]) for mode in MODES}
+    # Each round's run against the same round's "off" run, then the
+    # median across rounds.
     overhead = {
-        mode: best[mode] / best["off"] - 1.0 for mode in MODES
+        mode: statistics.median(
+            wall / off for wall, off in zip(walls[mode], walls["off"])
+        ) - 1.0
+        for mode in MODES
     }
 
     # Identical study outcomes in every mode: observability never
     # changes results.
-    base_agg = studies["off"].aggregate().to_dict()
-    assert studies["metrics"].aggregate().to_dict() == base_agg
-    assert studies["metrics+trace"].aggregate().to_dict() == base_agg
+    assert aggregates["metrics"] == aggregates["off"]
+    assert aggregates["metrics+trace"] == aggregates["off"]
 
     # Metrics actually collected / spans actually recorded where enabled.
-    assert registries["off"].state().get("counters", {}) == {}
-    assert (
-        registries["metrics"].counter("gridmind_scenarios_total").total()
-        == float(N_SCENARIOS)
-    )
+    assert all(counters == {} for counters in off_counters)
+    assert scenarios_billed["metrics"] == float(N_SCENARIOS)
     assert spans["metrics+trace"] > 2 * N_SCENARIOS  # scenario + solve + infra
     assert spans["off"] == 0
 
@@ -138,19 +154,18 @@ def test_ablation_tracing(benchmark):
     widths = [16, -11, -13, -13, -12, -9]
     lines = [
         fmt_row(
-            ["Mode", "scenarios", "best (s)", "median (s)", "overhead", "spans"],
+            ["Mode", "per run", "best (s)", "median (s)", "overhead", "spans"],
             widths,
         ),
         "-" * 82,
     ]
     for mode in MODES:
-        series = sorted(walls[mode])
         lines.append(fmt_row(
             [
                 mode,
-                N_SCENARIOS,
-                f"{best[mode]:.3f}",
-                f"{series[len(series) // 2]:.3f}",
+                SLICE,
+                f"{min(walls[mode]):.3f}",
+                f"{statistics.median(walls[mode]):.3f}",
                 f"{100 * overhead[mode]:+.1f}%",
                 spans[mode],
             ],
@@ -158,8 +173,9 @@ def test_ablation_tracing(benchmark):
         ))
     lines += [
         "",
-        f"min of {REPEATS} alternating repeats per mode | {CASE}, "
-        f"{JOBS}-worker shared executor, chunk {CHUNK}, window {WINDOW} | "
+        f"overhead: median of {len(walls['off'])} paired ratios, each round's "
+        f"run over its off run ({REPEATS} passes of {SLICE}-scenario slices, "
+        f"order rotated) | {CASE}, in-process, chunk {CHUNK} | "
         f"aggregates identical in all modes | acceptance: metrics < 2%, "
         f"tracing < 10% at >= {STRICT_SCALE} scenarios",
     ]

@@ -7,7 +7,10 @@ Two checks on ieee118:
   scalar fallback for the rows it hands back) against the scalar sweep
   (``analyze_single_outage`` per branch), row for row: identical
   converged/islanded flags, overload and voltage-violation sets, max
-  loading within 1e-6, handed-back rows identical to the scalar record;
+  loading within 1e-6, handed-back rows identical to the scalar record.
+  The scalar sweep runs on a fresh copy and does one full admittance
+  build in all (every outage's snapshot is derived from the base), and
+  a sample of derived snapshots equals fresh rebuilds bit for bit;
 * the same N-2 outage study warm (``ac_mode="warm"``) and cold over the
   shared-executor pool: the parity contract holds record for record,
   the outage counters (``gridmind_ac_outage_solves_total`` plus the
@@ -29,11 +32,15 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from repro.contingency.nminus1 import analyze_single_outage, run_n_minus_1
 from repro.grid import graph as gridgraph
+from repro.grid import ybus
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.powerflow import solve_newton
+from repro.powerflow.solution import make_admittances
 from repro.scenarios import BatchStudyRunner, StudyConfig
 from repro.scenarios.generators import outage_combinations
 from repro.service import StudyExecutor
@@ -59,16 +66,23 @@ def n_minus_1(net) -> None:
     fast = run_n_minus_1(net)
     t_fast = time.perf_counter() - tick
 
-    tick = time.perf_counter()
-    base = solve_newton(net)
-    bridges = gridgraph.bridge_branches(net)
-    slow = [
-        analyze_single_outage(
-            net, o.branch_id, bridges=bridges, v_base=base.extras["v_complex"]
-        )
-        for o in fast.outcomes
-    ]
-    t_slow = time.perf_counter() - tick
+    work = net.copy()  # a cold snapshot cache: the sweep pays its own build
+    real_build = ybus.build_admittances
+    builds = []
+    ybus.build_admittances = lambda arr: builds.append(arr) or real_build(arr)
+    try:
+        tick = time.perf_counter()
+        base = solve_newton(work)
+        bridges = gridgraph.bridge_branches(work)
+        slow = [
+            analyze_single_outage(
+                work, o.branch_id, bridges=bridges, v_base=base.extras["v_complex"]
+            )
+            for o in fast.outcomes
+        ]
+        t_slow = time.perf_counter() - tick
+    finally:
+        ybus.build_admittances = real_build
     served = sum(o.method == "fdpf-xb" for o in fast.outcomes)
     print(
         f"N-1 sweep on ieee118, {len(slow)} outages: kernel path {t_fast:.2f}s"
@@ -93,6 +107,42 @@ def n_minus_1(net) -> None:
         )
     check(parity, f"N-1 row parity across {len(slow)} outages")
     check(served > 0.9 * len(slow), "the kernel served nearly every outage")
+    check(
+        len(builds) == 1,
+        f"the scalar sweep built admittances once ({len(builds)}) for {len(slow)} outages",
+    )
+    sample = [o.branch_id for o in slow[::15]]
+    check(
+        all(derived_equals_rebuild(work, bid) for bid in sample),
+        f"{len(sample)} derived outage snapshots equal fresh rebuilds bit for bit",
+    )
+
+
+def derived_equals_rebuild(net, branch_id: int) -> bool:
+    """Branch ``branch_id`` out of ``net`` (snapshot derived from the
+    current one) against a copy that rebuilds everything."""
+    make_admittances(net)
+    net.set_branch_status(branch_id, False)
+    try:
+        arr, adm = make_admittances(net)
+        fresh = net.copy().compile()
+        rebuilt = ybus.build_admittances(fresh)
+    finally:
+        net.set_branch_status(branch_id, True)
+    same = all(
+        np.asarray(getattr(arr, f.name)).tobytes()
+        == np.asarray(getattr(fresh, f.name)).tobytes()
+        for f in dataclasses.fields(arr)
+        if f.name != "gen_plan"
+    )
+    for name in ("ybus", "yf", "yt"):
+        a, b = getattr(adm, name), getattr(rebuilt, name)
+        same = same and (
+            a.indptr.tobytes() == b.indptr.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.data.view(np.uint64).tobytes() == b.data.view(np.uint64).tobytes()
+        )
+    return same
 
 
 def run_study(net, scns, *, mode: str):

@@ -236,6 +236,10 @@ def analyze_single_outage(
             message="outage splits the network",
         )
 
+    # With the base snapshot complete, the outage's snapshot derives from
+    # it and switching the branch back restores it: a sweep over one
+    # network pays a single admittance build.
+    net.admittances()
     net.set_branch_status(branch_id, False)
     try:
         res = solve_newton(net, v0=v_base, max_iter=25)

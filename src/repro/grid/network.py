@@ -6,19 +6,25 @@ Two layers on purpose:
   load edits, branch outages, limit changes.  Every mutation bumps a
   version counter.
 * :class:`NetworkArrays` is the vectorised per-unit snapshot the numerical
-  code consumes (packed NumPy arrays for in-service elements only).  It is
-  rebuilt lazily when the version changes, so a contingency sweep that
-  toggles one branch per iteration pays one recompile per outage and the
-  solvers never touch Python-object component lists in their hot loops.
+  code consumes (packed NumPy arrays for in-service elements only), and
+  :meth:`Network.admittances` the ``(Ybus, Yf, Yt)`` operators built on
+  it.  Both live in one snapshot cache that every mutation clears, so
+  the solvers never touch Python-object component lists in their hot
+  loops.  One edit is cheaper: taking a single branch out of a network
+  whose snapshot is complete *derives* the outage snapshot from it —
+  delete the branch's rows, patch four Ybus entries — bit for bit what a
+  rebuild gives, and switching the branch back in restores the parent.
+  A contingency sweep therefore pays one full build, not one per outage.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ybus as _ybus
 from .components import Branch, Bus, BusType, Generator, Load, NetworkMetadata
 from .units import DEFAULT_BASE_MVA, deg_to_rad
 
@@ -74,7 +80,11 @@ class NetworkArrays:
     shift: np.ndarray  # rad
     rate_a: np.ndarray  # p.u. (0 => unlimited)
 
-    version: int = 0
+    #: Memo of :func:`repro.powerflow.solution.generation_plan`: units
+    #: grouped by bus.  It reads only the bus types and the generator
+    #: arrays, so snapshots that share those (derived outages, per-row
+    #: load rebinds through :func:`dataclasses.replace`) share the plan.
+    gen_plan: object = field(default=None, repr=False, compare=False)
 
     @property
     def slack_buses(self) -> np.ndarray:
@@ -97,6 +107,52 @@ class NetworkArrays:
             (data, (self.gen_bus, np.arange(self.n_gen))),
             shape=(self.n_bus, self.n_gen),
         )
+
+    def without_branch(self, row: int) -> "NetworkArrays":
+        """This snapshot with branch row ``row`` out of service.
+
+        Equal, field for field and bit for bit, to compiling the network
+        after that outage: only the branch arrays lose a row; the bus and
+        generator arrays (and the generation plan) are shared.
+        """
+        def drop(a: np.ndarray) -> np.ndarray:
+            return np.delete(a, row)
+
+        return replace(
+            self,
+            n_branch=self.n_branch - 1,
+            branch_ids=drop(self.branch_ids),
+            f_bus=drop(self.f_bus),
+            t_bus=drop(self.t_bus),
+            r=drop(self.r),
+            x=drop(self.x),
+            b_charge=drop(self.b_charge),
+            tap=drop(self.tap),
+            shift=drop(self.shift),
+            rate_a=drop(self.rate_a),
+        )
+
+
+class _Snapshot:
+    """The compiled state of one network version.
+
+    ``arrays`` and ``adm`` fill lazily.  A snapshot with a ``parent`` is
+    that parent with branch ``outage`` switched out: it derives both from
+    the parent instead of rebuilding them.
+    """
+
+    __slots__ = ("arrays", "adm", "parent", "outage")
+
+    def __init__(self, parent: "_Snapshot | None" = None, outage: int = -1) -> None:
+        self.arrays: NetworkArrays | None = None
+        self.adm: _ybus.AdmittanceMatrices | None = None
+        self.parent = parent
+        self.outage = outage
+
+
+def _row_of(arr: NetworkArrays, branch_id: int) -> int:
+    """Row of in-service branch ``branch_id`` in ``arr``'s branch arrays."""
+    return int(np.searchsorted(arr.branch_ids, branch_id))
 
 
 def _clone(record):
@@ -133,16 +189,15 @@ class Network:
         # zonal studies meaningful while letting importers or operators
         # attach real labels via set_bus_zones.
         self._bus_zones: dict[int, str] = {}
-        self._compiled: NetworkArrays | None = None
+        # Compiled arrays and admittances of the current version (None:
+        # nothing compiled since the last mutation).  Repeated solves of
+        # an unmodified network — recovery-ladder rungs, warm-started
+        # ensembles, N-1 base solves — share one build.
+        self._snapshot: _Snapshot | None = None
         # (version, digest) memo maintained by contingency.cache — cleared
         # on every mutation so hot cache-lookup loops only re-serialise the
         # network when its content can actually have changed.
         self._content_hash_memo: tuple[int, str] | None = None
-        # (version, AdmittanceMatrices) memo maintained by
-        # powerflow.solution.make_admittances — same invalidation rule, so
-        # repeated AC solves of an unmodified network (recovery-ladder
-        # rungs, warm-started ensembles) stop rebuilding Ybus.
-        self._adm_memo: tuple[int, object] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -316,9 +371,8 @@ class Network:
     def touch(self) -> None:
         """Invalidate compiled views after an out-of-band component edit."""
         self._version += 1
-        self._compiled = None
+        self._snapshot = None
         self._content_hash_memo = None
-        self._adm_memo = None
 
     def set_load(self, bus: int, pd_mw: float, qd_mvar: float | None = None) -> Load:
         """Set the total load at ``bus``, creating a load if none exists.
@@ -355,15 +409,28 @@ class Network:
         self.touch()
 
     def set_branch_status(self, branch_id: int, in_service: bool) -> Branch:
-        """Switch a branch in or out of service (contingency application)."""
+        """Switch a branch in or out of service (contingency application).
+
+        Taking an in-service branch out while the snapshot holds both
+        arrays and admittances leaves a pending derivation, which the
+        next :meth:`compile` / :meth:`admittances` carries out; switching
+        that same branch back in restores the parent snapshot.  Any other
+        status change clears the snapshot like :meth:`touch`.
+        """
         if not 0 <= branch_id < len(self.branches):
             raise IndexError(
                 f"branch {branch_id} does not exist "
                 f"(network has {len(self.branches)} branches)"
             )
         br = self.branches[branch_id]
-        br.in_service = in_service
+        snap = self._snapshot
         self.touch()
+        if snap is not None:
+            if br.in_service and not in_service and snap.adm is not None:
+                self._snapshot = _Snapshot(parent=snap, outage=branch_id)
+            elif in_service and not br.in_service and snap.outage == branch_id:
+                self._snapshot = snap.parent
+        br.in_service = in_service
         return br
 
     def find_branch(self, from_bus: int, to_bus: int) -> int:
@@ -394,11 +461,34 @@ class Network:
     # compiled view
     # ------------------------------------------------------------------
     def compile(self) -> NetworkArrays:
-        """Return the per-unit array snapshot, rebuilding only if stale."""
-        if self._compiled is not None and self._compiled.version == self._version:
-            return self._compiled
-        self._compiled = self._build_arrays()
-        return self._compiled
+        """Return the per-unit array snapshot: built once per version, or
+        derived from the parent snapshot after one outage."""
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = _Snapshot()
+        if snap.arrays is None:
+            parent = snap.parent
+            snap.arrays = (
+                self._build_arrays()
+                if parent is None
+                else parent.arrays.without_branch(_row_of(parent.arrays, snap.outage))
+            )
+        return snap.arrays
+
+    def admittances(self) -> _ybus.AdmittanceMatrices:
+        """``(Ybus, Yf, Yt)`` of the compiled snapshot: built once per
+        version, or derived from the parent snapshot after one outage."""
+        arr = self.compile()
+        snap = self._snapshot
+        if snap.adm is None:
+            parent = snap.parent
+            if parent is not None:
+                snap.adm = _ybus.outage_admittances(
+                    parent.arrays, parent.adm, _row_of(parent.arrays, snap.outage)
+                )
+            if snap.adm is None:
+                snap.adm = _ybus.build_admittances(arr)
+        return snap.adm
 
     def _build_arrays(self) -> NetworkArrays:
         nb = self.n_bus
@@ -481,7 +571,6 @@ class Network:
             tap=tap,
             shift=shift,
             rate_a=rate_a,
-            version=self._version,
         )
 
     # ------------------------------------------------------------------

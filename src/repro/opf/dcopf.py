@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from ..grid.network import Network
 from ..grid.units import rad_to_deg
@@ -26,6 +26,10 @@ _SEGMENTS = 8
 @instrument_solver("dcopf")
 def solve_dcopf(net: Network, *, segments: int = _SEGMENTS) -> OPFResult:
     """Solve the DCOPF LP.  Variables: [theta | pg | cost epigraph y]."""
+    # Imported here: scipy.optimize adds ~0.13 s to importing the package,
+    # and only OPF callers need it.
+    from scipy import optimize
+
     start = time.perf_counter()
     arr = net.compile()
     nb, ng, nl = arr.n_bus, arr.n_gen, arr.n_branch

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import optimize
 
 from ..grid.network import Network
 from .acopf import ACOPFProblem, _unpack
@@ -26,6 +25,8 @@ def solve_acopf_scipy(
     tol: float = 1e-8,
 ) -> "OPFResult":
     """Solve the ACOPF with ``scipy.optimize.minimize(method='trust-constr')``."""
+    from scipy import optimize  # ~0.13 s to import; only this backend needs it
+
     from .result import OPFResult  # local to avoid an import cycle in type pos
 
     start = time.perf_counter()

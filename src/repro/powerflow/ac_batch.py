@@ -61,6 +61,7 @@ from .solution import (
     FlowSummary,
     PowerFlowResult,
     finalize_solution,
+    generation_plan,
     loading_percent,
     make_admittances,
 )
@@ -552,7 +553,7 @@ class AcKernel:
         generation allocation reads them off the snapshot, so the cached
         topology arrays are rebound to this row's loads — no recompile.
         """
-        arr = replace(self.arr, pd=pd, qd=qd)
+        arr = replace(self.arr, pd=pd, qd=qd, gen_plan=generation_plan(self.arr))
         return finalize_solution(
             self.net,
             arr,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..grid.network import Network, NetworkArrays
-from ..grid.ybus import AdmittanceMatrices, build_admittances
+from ..grid.ybus import AdmittanceMatrices
 from ..grid.units import rad_to_deg
 
 
@@ -151,6 +151,44 @@ def loading_percent(
         )
 
 
+@dataclass(frozen=True)
+class GenerationPlan:
+    """Generating units grouped by bus, for :func:`_allocate_generation`.
+
+    Built once per snapshot (see :func:`generation_plan`): ``buses`` are
+    the distinct generator buses ascending, ``group`` maps each unit row
+    to its bus's position in ``buses``, ``qrange``/``qsum`` are each
+    unit's reactive range and its bus's total, and ``slack`` lists
+    ``(group, unit rows)`` for the slack buses.
+    """
+
+    buses: np.ndarray
+    group: np.ndarray
+    qrange: np.ndarray
+    qsum: np.ndarray
+    slack: tuple[tuple[int, np.ndarray], ...]
+
+
+def generation_plan(arr: NetworkArrays) -> GenerationPlan:
+    """The snapshot's :class:`GenerationPlan`, built on first use."""
+    if arr.gen_plan is None:
+        buses = np.unique(arr.gen_bus)
+        qrange = np.maximum(arr.qmax - arr.qmin, 1e-9)
+        members = [np.flatnonzero(arr.gen_bus == bus) for bus in buses]
+        arr.gen_plan = GenerationPlan(
+            buses=buses,
+            group=np.searchsorted(buses, arr.gen_bus),
+            qrange=qrange,
+            qsum=np.array([qrange[rows].sum() for rows in members]),
+            slack=tuple(
+                (g, rows)
+                for g, (bus, rows) in enumerate(zip(buses, members))
+                if arr.bus_type[bus] == 3
+            ),
+        )
+    return arr.gen_plan
+
+
 def _allocate_generation(
     arr: NetworkArrays, adm: AdmittanceMatrices, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,37 +197,30 @@ def _allocate_generation(
     At PV/slack buses the network-level injection is known; it is split
     among co-located units — P deviation goes to slack-bus units evenly,
     Q proportionally to each unit's Q range (the usual AVR-share model).
+    Every bus's arithmetic is the same, in the same order, as a per-bus
+    loop's, so the results agree with it bit for bit.
     """
+    plan = generation_plan(arr)
     s_inj = v * np.conj(adm.ybus @ v)  # net bus injection, p.u.
+    need_s = s_inj[plan.buses] + arr.pd[plan.buses] + 1j * arr.qd[plan.buses]
     gen_p = arr.pg0.copy()
-    gen_q = np.zeros(arr.n_gen)
-
-    for bus in np.unique(arr.gen_bus):
-        rows = np.flatnonzero(arr.gen_bus == bus)
-        need_s = s_inj[bus] + arr.pd[bus] + 1j * arr.qd[bus]
-        if arr.bus_type[bus] == 3:  # slack: absorb P mismatch too
-            scheduled = gen_p[rows].sum()
-            gen_p[rows] += (need_s.real - scheduled) / len(rows)
-        # Split the bus's required Q among co-located units in proportion
-        # to their reactive capability (AVR-share model).
-        qrange = np.maximum(arr.qmax[rows] - arr.qmin[rows], 1e-9)
-        gen_q[rows] = need_s.imag * qrange / qrange.sum()
+    for g, rows in plan.slack:  # slack: absorb P mismatch too
+        scheduled = gen_p[rows].sum()
+        gen_p[rows] += (need_s[g].real - scheduled) / len(rows)
+    # Split each bus's required Q among co-located units in proportion
+    # to their reactive capability (AVR-share model).
+    gen_q = need_s.imag[plan.group] * plan.qrange / plan.qsum[plan.group]
     return gen_p, gen_q
 
 
 def make_admittances(net: Network) -> tuple[NetworkArrays, AdmittanceMatrices]:
-    """Compile the network and build its admittance operators in one step.
+    """Compile the network and fetch its admittance operators in one step.
 
-    The admittance build is memoised behind the network's version counter
-    (the same invalidation rule as ``compile`` and the content-hash memo):
-    an unmodified network pays one Ybus construction however many solver
-    calls touch it — every rung of the recovery ladder, every warm-started
-    ensemble scenario, every N-1 base solve reuses the cached operators.
+    Both come from the network's snapshot cache (see
+    :meth:`~repro.grid.network.Network.admittances`): an unmodified
+    network pays one Ybus construction however many solver calls touch
+    it — every rung of the recovery ladder, every warm-started ensemble
+    scenario, every N-1 base solve — and a one-branch outage of it
+    derives its operators instead of building them.
     """
-    arr = net.compile()
-    memo = getattr(net, "_adm_memo", None)
-    if memo is not None and memo[0] == net._version:
-        return arr, memo[1]
-    adm = build_admittances(arr)
-    net._adm_memo = (net._version, adm)
-    return arr, adm
+    return net.compile(), net.admittances()
