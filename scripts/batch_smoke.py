@@ -13,7 +13,10 @@ then asserts the guarantees the batch layer makes:
   ``gridmind_batch_rows_total``, merged back from pool workers),
 * the scalar run never touched it (both counters zero),
 * scenario accounting is identical either way
-  (``gridmind_scenarios_total`` bills every scenario exactly once).
+  (``gridmind_scenarios_total`` bills every scenario exactly once),
+* the batched study rerun in-process builds one connectivity graph
+  (the worker state checks its base once, not once per chunk) and
+  gives the pooled run's records.
 
 Exits nonzero on the first violated invariant.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
+from repro.grid import graph as gridgraph
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
@@ -50,6 +54,26 @@ def run_study(net, scns, *, batch: bool):
             executor=executor,
         ).run(net, scns)
     return study, registry
+
+
+def run_in_process_counting_graphs(net, scns):
+    """The batched study in-process, with every ``to_graph`` counted."""
+    build = gridgraph.to_graph
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build(*args, **kwargs)
+
+    gridgraph.to_graph = counted
+    try:
+        study = BatchStudyRunner(
+            StudyConfig(analysis="dc"), chunk_size=16
+        ).run(net, scns)
+    finally:
+        gridgraph.to_graph = build
+    return study, calls
 
 
 def records(study) -> list[dict]:
@@ -100,6 +124,16 @@ def main() -> int:
             total == float(n),
             f"{name} run billed every scenario exactly once ({total:.0f})",
         )
+
+    in_process, graphs = run_in_process_counting_graphs(net, scns)
+    check(
+        graphs == 1,
+        f"in-process batched run built one connectivity graph ({graphs})",
+    )
+    check(
+        records(in_process) == records(batched),
+        "in-process records bit-identical to the pooled run",
+    )
 
     print("\nbatch smoke: all checks passed")
     return 0

@@ -8,13 +8,15 @@ Two layers on purpose:
 * :class:`NetworkArrays` is the vectorised per-unit snapshot the numerical
   code consumes (packed NumPy arrays for in-service elements only), and
   :meth:`Network.admittances` the ``(Ybus, Yf, Yt)`` operators built on
-  it.  Both live in one snapshot cache that every mutation clears, so
-  the solvers never touch Python-object component lists in their hot
-  loops.  One edit is cheaper: taking a single branch out of a network
-  whose snapshot is complete *derives* the outage snapshot from it —
-  delete the branch's rows, patch four Ybus entries — bit for bit what a
-  rebuild gives, and switching the branch back in restores the parent.
-  A contingency sweep therefore pays one full build, not one per outage.
+  it.  Both live in one snapshot cache that every mutation clears, with
+  the per-load table scenario replays start from
+  (:meth:`Network.load_table`), so the solvers never touch Python-object
+  component lists in their hot loops.  One edit is cheaper: taking a
+  single branch out of a network whose snapshot is complete *derives*
+  the outage snapshot from it — delete the branch's rows, patch four
+  Ybus entries — bit for bit what a rebuild gives, and switching the
+  branch back in restores the parent.  A contingency sweep therefore
+  pays one full build, not one per outage.
 """
 
 from __future__ import annotations
@@ -136,16 +138,19 @@ class NetworkArrays:
 class _Snapshot:
     """The compiled state of one network version.
 
-    ``arrays`` and ``adm`` fill lazily.  A snapshot with a ``parent`` is
-    that parent with branch ``outage`` switched out: it derives both from
-    the parent instead of rebuilding them.
+    ``arrays``, ``adm`` and ``loads`` (the per-load table of
+    :meth:`Network.load_table`) fill lazily.  A snapshot with a
+    ``parent`` is that parent with branch ``outage`` switched out: it
+    derives ``arrays`` and ``adm`` from the parent instead of rebuilding
+    them.
     """
 
-    __slots__ = ("arrays", "adm", "parent", "outage")
+    __slots__ = ("arrays", "adm", "loads", "parent", "outage")
 
     def __init__(self, parent: "_Snapshot | None" = None, outage: int = -1) -> None:
         self.arrays: NetworkArrays | None = None
         self.adm: _ybus.AdmittanceMatrices | None = None
+        self.loads: tuple[np.ndarray, ...] | None = None
         self.parent = parent
         self.outage = outage
 
@@ -489,6 +494,28 @@ class Network:
             if snap.adm is None:
                 snap.adm = _ybus.build_admittances(arr)
         return snap.adm
+
+    def load_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(bus, pd_mw, qd_mvar, in_service)`` per load, in list order.
+
+        Built once per version, like :meth:`compile`.  The arrays are
+        shared by every caller and read-only: copy them before editing.
+        """
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = _Snapshot()
+        if snap.loads is None:
+            loads = self.loads
+            table = (
+                np.array([ld.bus for ld in loads], dtype=np.int64),
+                np.array([ld.pd_mw for ld in loads], dtype=float),
+                np.array([ld.qd_mvar for ld in loads], dtype=float),
+                np.array([ld.in_service for ld in loads], dtype=bool),
+            )
+            for column in table:
+                column.flags.writeable = False
+            snap.loads = table
+        return snap.loads
 
     def _build_arrays(self) -> NetworkArrays:
         nb = self.n_bus

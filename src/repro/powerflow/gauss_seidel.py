@@ -8,9 +8,11 @@ The sweep is a per-bus Python loop, so everything that does not depend on
 the iterate is planned once per solve: each free bus's Ybus row (views of
 the CSR arrays), diagonal, injection and PV flag, and the mismatch rows.
 Each bus update keeps the textbook's arithmetic exactly: the row product
-is numpy's dot, magnitudes come from ``np.abs`` and every other operation
-rounds as the numpy scalar one it replaces, in the same order, so the
-plan changes the cost of a sweep and not one bit of its result
+is numpy's dot, a PV bus's two magnitudes come from one ``np.absolute``
+call over a preallocated pair (the ufunc loop ``np.abs`` runs on each
+scalar) and every other operation rounds as the numpy scalar one it
+replaces, in the same order, so the plan changes the cost of a sweep
+and not one bit of its result
 (``tests/test_powerflow.py`` keeps the textbook loop as the reference).
 """
 
@@ -74,6 +76,10 @@ def solve_gauss_seidel(
     ]
     p_rows = np.array(free, dtype=int)
     q_rows = np.array([b for b in free if b not in pv], dtype=int)
+    # A PV update's two magnitudes, |V| before and after, through one
+    # ``np.absolute`` call: the same ufunc loop, applied elementwise.
+    pair = np.empty(2, dtype=complex)
+    mags = np.empty(2)
 
     converged = False
     it = 0
@@ -87,7 +93,10 @@ def solve_gauss_seidel(
                 q_new = (vb * _conj(i_other + yd * vb)).imag
                 s = s + 1j * q_new
                 v_new = (_conj(s / vb) - i_other) / yd
-                v[bus] = np.abs(vb) * v_new / np.abs(v_new)
+                pair[0] = vb
+                pair[1] = v_new
+                np.absolute(pair, out=mags)
+                v[bus] = mags[0] * v_new / mags[1]
             else:
                 v_new = (_conj(s / vb) - i_other) / yd
                 v[bus] = vb + acceleration * (v_new - vb)

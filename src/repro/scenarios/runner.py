@@ -41,6 +41,7 @@ ensembles opt out and hold O(window x chunk + K) results at peak.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import os
@@ -395,7 +396,13 @@ class TopologyCache:
 
 
 class _WorkerState:
-    """One worker's long-lived state: base network plus reusable caches."""
+    """One worker's long-lived state: base network plus reusable caches.
+
+    The base never changes for the state's lifetime (the executor
+    unpickles a private copy, the serial path copies it), so answers that
+    depend on it alone are computed once: :attr:`base_connected` and the
+    kernels keyed by its topology.
+    """
 
     #: Entry cap for the per-worker contingency cache.  Load-perturbation
     #: ensembles give every scenario a distinct content hash, so the cache
@@ -418,6 +425,11 @@ class _WorkerState:
             256, lambda net: compute_factors(net, kernel=dc_kernels.get(net))
         )
         self.ca_cache = ContingencyCache()
+
+    @functools.cached_property
+    def base_connected(self) -> bool:
+        """Whether the base is one island: one graph build per state."""
+        return gridgraph.is_connected(self.base)
 
     def kernel_for(self, net: Network) -> DcKernel:
         """Compiled :class:`DcKernel`: one factorization per topology."""
@@ -493,11 +505,12 @@ class _WorkerState:
         A disconnected base needs each realized network for the scalar
         path's per-scenario stranded-MW message; an unconverged base has
         no voltage to warm-start from; a build error is a kernel bug and
-        is logged with its traceback.
+        is logged with its traceback.  Connectivity is read from
+        :attr:`base_connected`, so no chunk builds a graph.
         """
         reason = None
         kernel = None
-        if not gridgraph.is_connected(self.base):
+        if not self.base_connected:
             reason = "disconnected-base"
         else:
             try:
@@ -742,7 +755,14 @@ class _WorkerState:
         tick = time.perf_counter()
         try:
             net = scenario.realize(self.base)
-            if not gridgraph.is_connected(net):
+            # An injection-only scenario keeps the base's topology, so
+            # only topology changers need a graph of their own.
+            connected = (
+                self.base_connected
+                if scenario.injection_only
+                else gridgraph.is_connected(net)
+            )
+            if not connected:
                 # Outage combinations can island the system (N-2 over a
                 # bridge); no solver can run, but the study must record
                 # the scenario rather than die on a singular matrix.

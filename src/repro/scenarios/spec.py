@@ -70,12 +70,16 @@ class LoadVector:
 
     @classmethod
     def from_network(cls, net: Network) -> "LoadVector":
-        return cls(
-            bus=np.array([ld.bus for ld in net.loads], dtype=np.int64),
-            pd_mw=np.array([ld.pd_mw for ld in net.loads], dtype=float),
-            qd_mvar=np.array([ld.qd_mvar for ld in net.loads], dtype=float),
-            in_service=np.array([ld.in_service for ld in net.loads], dtype=bool),
-        )
+        """A fresh view of ``net``'s loads.
+
+        The columns are copies of the network's cached
+        :meth:`~repro.grid.network.Network.load_table`, built once per
+        snapshot: perturbations scale them in place and
+        :class:`RenewableInjection` appends rows, so no replay may alias
+        the shared table.
+        """
+        bus, pd_mw, qd_mvar, in_service = net.load_table()
+        return cls(bus.copy(), pd_mw.copy(), qd_mvar.copy(), in_service.copy())
 
     def __len__(self) -> int:
         return len(self.pd_mw)
@@ -374,7 +378,12 @@ class Scenario:
         return all(p.injection_only for p in self.perturbations)
 
     def _replay_loads(self, base: Network) -> LoadVector:
-        """Run every perturbation's vectorized form against a load view."""
+        """Run every perturbation's vectorized form against a load view.
+
+        The view starts as a copy of the base's per-snapshot load table
+        (:meth:`LoadVector.from_network`), so a row costs its own draws
+        and not a walk over the base's load records.
+        """
         loads = LoadVector.from_network(base)
         for pert in self.perturbations:
             try:

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.grid import graph as gridgraph
 from repro.grid.cases import load_case
 from repro.contingency.lodf import compute_factors, compute_ptdf
 from repro.contingency.screening import screen_dc, screen_dc_many
@@ -31,6 +32,7 @@ from repro.scenarios import (
     UniformLoadScale,
     ZonalLoadScale,
     monte_carlo_ensemble,
+    outage_combinations,
 )
 from repro.scenarios.runner import StudyConfig, _WorkerState
 from repro.service import StudyExecutor
@@ -374,6 +376,79 @@ class TestWorkerState:
         state.run_chunk(scns)
         assert fresh_metrics.counter("gridmind_batch_solves_total").total() == 0.0
         assert fresh_metrics.counter("gridmind_scenarios_total").total() == 4.0
+
+
+# ----------------------------------------------------------------------
+# per-study invariants: one connectivity graph per worker state
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Count ``gridgraph.to_graph`` calls: every connectivity answer
+    builds one graph, so the count shows whether the per-state memo
+    engages (a memo that stopped engaging would show up only as a
+    slowdown otherwise)."""
+    calls = []
+    build = gridgraph.to_graph
+
+    def counted(net, exclude_branches=frozenset()):
+        calls.append(net)
+        return build(net, exclude_branches)
+
+    monkeypatch.setattr(gridgraph, "to_graph", counted)
+    return calls
+
+
+class TestConnectivityMemo:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            StudyConfig(analysis="dc"),
+            StudyConfig(analysis="powerflow"),
+            StudyConfig(analysis="powerflow", ac_mode="cold"),
+        ],
+        ids=["dc-batched", "ac-warm", "ac-cold"],
+    )
+    def test_injection_only_study_builds_one_graph(self, case14, config, graph_builds):
+        scns = monte_carlo_ensemble(n=24, sigma=0.05, seed=3)
+        study = BatchStudyRunner(config, chunk_size=8).run(case14, scns)
+        assert len(study.results) == 24 and all(r.converged for r in study.results)
+        assert len(graph_builds) == 1
+
+    def test_scalar_outage_study_builds_one_graph_per_row(self, case14, graph_builds):
+        scns = outage_combinations(case14, depth=2, limit=30)
+        study = BatchStudyRunner(StudyConfig(analysis="dc"), chunk_size=8).run(
+            case14, scns
+        )
+        islanded = sum("islands the network" in (r.error or "") for r in study.results)
+        assert islanded > 0
+        # One connectivity graph per row, one more per islanded row for
+        # its stranded-MW message.
+        assert len(graph_builds) == 30 + islanded
+
+    @pytest.mark.parametrize(
+        "analysis, path", [("dc", "batch"), ("powerflow", "ac")]
+    )
+    def test_disconnected_base_keeps_per_row_records(
+        self, tiny_net, analysis, path, fresh_metrics, graph_builds
+    ):
+        island = tiny_net.add_bus().index  # the base itself is split
+        tiny_net.add_load(island, pd_mw=12.5, qd_mvar=2.0)
+        scns = list(monte_carlo_ensemble(n=3, sigma=0.2, seed=1))
+        study = BatchStudyRunner(StudyConfig(analysis=analysis), chunk_size=3).run(
+            tiny_net, scns
+        )
+        # One graph for the base, one per row's stranded-MW message.
+        assert len(graph_builds) == 1 + 3
+        # Each row's message names its own realized stranded load.
+        for scn, r in zip(scns, study.results):
+            stranded = gridgraph.stranded_load_mw(scn.realize(tiny_net), frozenset())
+            assert not r.converged
+            assert r.error == f"scenario islands the network ({stranded:.1f} MW stranded)"
+        assert len({r.error for r in study.results}) == 3
+        counter = fresh_metrics.counter("gridmind_fastpath_fallbacks_total")
+        assert counter.value(path=path, reason="disconnected-base") == 3
 
 
 # ----------------------------------------------------------------------

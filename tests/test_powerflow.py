@@ -157,7 +157,8 @@ def _textbook_gauss_seidel(net, sweeps, acceleration, v0):
 
 
 class TestGaussSeidelSweep:
-    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    # ieee57 adds PV buses, each a paired magnitude call per sweep.
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30", "ieee57"])
     @pytest.mark.parametrize("acceleration", [1.0, 1.4])
     def test_sweep_is_bit_identical_to_textbook_loop(self, name, acceleration):
         net = load_case(name)

@@ -1,18 +1,21 @@
 """Property-based tests (hypothesis) on core invariants.
 
 Targets: per-unit conversions, cost polynomials, network mutation
-invariants, admittance structure, severity monotonicity, NLU robustness,
-token estimation, and the audit's soundness guarantee.
+invariants, admittance structure, the injection replay's bit-identity
+with realize+compile, severity monotonicity, NLU robustness, token
+estimation, and the audit's soundness guarantee.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contingency.outcomes import BALANCED_WEIGHTS, ContingencyOutcome
 from repro.grid import units
+from repro.grid.cases import load_case
 from repro.grid.components import BusType, Generator
 from repro.grid.network import Network
 from repro.grid.ybus import build_admittances
@@ -20,6 +23,16 @@ from repro.instrumentation.audit import audit_narration
 from repro.llm.nlu import classify, extract_entities
 from repro.llm.tokens import estimate_text_tokens
 from repro.opf.costs import PolynomialCosts
+from repro.powerflow.batch import dc_injections
+from repro.powerflow.newton import bus_power_injections
+from repro.scenarios.spec import (
+    GaussianLoadNoise,
+    PerBusLoadScale,
+    RenewableInjection,
+    Scenario,
+    UniformLoadScale,
+    ZonalLoadScale,
+)
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -99,6 +112,125 @@ def test_ybus_row_sums_equal_shunt_terms(x, r, b, tap):
     assert np.isclose(y[1, 1], ys + 1j * b / 2)
     assert np.isclose(y[0, 0], (ys + 1j * b / 2) / tap**2)
     assert np.isclose(y[0, 1], -ys / tap)
+
+
+# ----------------------------------------------------------------------
+# Injection replay: ``Scenario.injection_vector`` / ``ac_injection`` must
+# give, bit for bit, what realizing the scenario and compiling it gives.
+# ----------------------------------------------------------------------
+factor = st.floats(min_value=0.0, max_value=2.0)
+
+
+def _injection_perturbation(n_bus: int):
+    bus = st.integers(min_value=0, max_value=n_bus - 1)
+    return st.one_of(
+        st.builds(UniformLoadScale, factor),
+        st.builds(
+            PerBusLoadScale,
+            st.lists(st.tuples(bus, factor), min_size=1, max_size=4).map(tuple),
+        ),
+        st.builds(
+            GaussianLoadNoise,
+            st.floats(min_value=0.0, max_value=0.3),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        ),
+        st.builds(
+            ZonalLoadScale, st.lists(factor, min_size=1, max_size=5).map(tuple)
+        ),
+        st.builds(
+            RenewableInjection,
+            bus,
+            st.floats(min_value=0.0, max_value=150.0),
+            st.floats(min_value=0.0, max_value=40.0),
+        ),
+    )
+
+
+def _stacks(n_bus: int, max_size: int = 4):
+    """Scenarios of injection-only perturbations, types in random order."""
+    return st.lists(
+        st.lists(_injection_perturbation(n_bus), max_size=5).map(tuple),
+        min_size=1,
+        max_size=max_size,
+    )
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as they should."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    )
+
+
+def _assert_replay_exact(base: Network, perturbations) -> None:
+    scenario = Scenario("draw", perturbations)
+    arr = scenario.realize(base).compile()
+    assert _same_bits(scenario.injection_vector(base), dc_injections(arr))
+    sbus, pd, qd = scenario.ac_injection(base)
+    assert _same_bits(sbus, bus_power_injections(arr))
+    assert _same_bits(pd, arr.pd)
+    assert _same_bits(qd, arr.qd)
+
+
+#: Examples per case: ieee118's realize+compile is the slowest reference.
+REPLAY_EXAMPLES = {"ieee14": 40, "ieee57": 15, "ieee118": 5}
+
+
+@pytest.mark.parametrize("case", REPLAY_EXAMPLES)
+def test_injection_replay_matches_realize_compile(case):
+    """Scenarios replayed back to back on one shared base each equal
+    realize+compile: a replay that edited the base's cached load table
+    in place would move every later scenario of the example (and of the
+    examples after it)."""
+    base = load_case(case)
+
+    @settings(max_examples=REPLAY_EXAMPLES[case], deadline=None)
+    @given(stacks=_stacks(base.n_bus))
+    def check(stacks):
+        for perturbations in stacks:
+            _assert_replay_exact(base, perturbations)
+
+    check()
+
+
+EDITS = ("set_load", "scale_loads", "touch", "branch")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stacks=_stacks(14, max_size=2),
+    edit=st.sampled_from(EDITS),
+    row=st.integers(min_value=0, max_value=10),
+    value=st.floats(min_value=0.0, max_value=80.0),
+)
+def test_injection_replay_follows_base_edits(stacks, edit, row, value):
+    """An edit to the base after a compile and a replay reaches the next
+    replay: the cached load table belongs to one network version."""
+    base = load_case("ieee14")
+    base.compile()
+    base.admittances()  # a complete snapshot: a branch switch derives from it
+    for perturbations in stacks:
+        _assert_replay_exact(base, perturbations)
+    load = base.loads[row % len(base.loads)]
+    if edit == "set_load":
+        base.set_load(load.bus, value)
+    elif edit == "scale_loads":
+        base.scale_loads(value / 40.0)
+    elif edit == "touch":
+        load.pd_mw, load.qd_mvar = value, -value / 4.0  # out of band
+        base.touch()
+    else:
+        branch = row % base.n_branch
+        base.set_branch_status(branch, False)
+        base.compile()
+        for perturbations in stacks:
+            _assert_replay_exact(base, perturbations)
+        base.set_branch_status(branch, True)
+    for perturbations in stacks:
+        _assert_replay_exact(base, perturbations)
 
 
 @given(
