@@ -1,8 +1,9 @@
 """E18 — Ablation: batched physics kernels vs the scalar loop.
 
 Runs the same injection-only Monte Carlo ensemble through the scalar
-per-scenario path (``batch_kernels=False``: realize a network copy,
-compile it, solve one RHS — per scenario) and through the chunk-level
+per-scenario path (``run_scenario`` on one fresh worker state: realize a
+network copy, compile it, solve one RHS — per scenario; chunking does
+not apply to it) and through the chunk-level
 batched kernels (vectorized injection replay against the cached base
 compile, one stacked multi-RHS solve per chunk), across chunk sizes
 1/8/64/256 for the ``dc`` study and a smaller sweep for two-stage
@@ -23,6 +24,7 @@ from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
 from repro.scenarios import BatchStudyRunner, StudyConfig, monte_carlo_ensemble
+from repro.scenarios.runner import _WorkerState
 
 CASE = "ieee118"
 SIGMA = 0.05
@@ -34,9 +36,9 @@ SCREEN_CHUNK = 32
 SCREEN_AC_BUDGET = 3
 
 
-def _records(study):
+def _records(results):
     out = []
-    for r in study.results:
+    for r in results:
         d = dataclasses.asdict(r)
         d["solve_time_s"] = 0.0  # wall clock, the one non-deterministic field
         out.append(d)
@@ -44,11 +46,16 @@ def _records(study):
 
 
 def _timed(analysis, net, scns, chunk, batch, **kw):
+    """The records and wall time of the batched study at ``chunk``, or
+    with ``batch=False`` of the scalar loop the batched path replaces."""
+    config = StudyConfig(analysis=analysis, **kw)
     tick = time.perf_counter()
-    study = BatchStudyRunner(
-        StudyConfig(analysis=analysis, batch_kernels=batch, **kw), chunk_size=chunk
-    ).run(net, scns)
-    return study, time.perf_counter() - tick
+    if batch:
+        results = BatchStudyRunner(config, chunk_size=chunk).run(net, scns).results
+    else:
+        state = _WorkerState(net.copy(), config)
+        results = [state.run_scenario(s) for s in scns]
+    return results, time.perf_counter() - tick
 
 
 def _run_all():

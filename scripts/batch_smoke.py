@@ -2,9 +2,10 @@
 """Tier-2 batch-kernel smoke: batched == scalar end to end, counters live.
 
 Runs the same injection-only Monte Carlo ensemble through the ``dc``
-study twice — once with the chunk-level batched kernels, once forced
-onto the scalar per-scenario loop — over the shared-executor pool path,
-then asserts the guarantees the batch layer makes:
+study twice over one shared-executor pool — once in default chunks,
+which take the chunk-level batched kernels, once in singleton chunks,
+which never batch and so take the scalar per-scenario loop — then
+asserts the guarantees the batch layer makes:
 
 * per-scenario records are bit-identical between the two runs (timing
   zeroed), and so are the aggregates and the store's results digest,
@@ -45,14 +46,14 @@ def check(condition: bool, message: str) -> None:
     print(f"  ok: {message}")
 
 
-def run_study(net, scns, *, batch: bool):
+def run_study(executor, net, scns, *, chunk_size: int | None):
+    """The dc study on ``executor`` with its own metrics registry;
+    ``chunk_size=1`` never batches (the batched path needs two rows)."""
     registry = MetricsRegistry()
     set_metrics(registry)
-    with StudyExecutor(max_workers=2) as executor:
-        study = BatchStudyRunner(
-            StudyConfig(analysis="dc", batch_kernels=batch),
-            executor=executor,
-        ).run(net, scns)
+    study = BatchStudyRunner(
+        StudyConfig(analysis="dc"), executor=executor, chunk_size=chunk_size
+    ).run(net, scns)
     return study, registry
 
 
@@ -90,8 +91,9 @@ def main() -> int:
     net = load_case("ieee57")
     scns = monte_carlo_ensemble(n=n, sigma=0.05, seed=7)
 
-    batched, m_batched = run_study(net, scns, batch=True)
-    scalar, m_scalar = run_study(net, scns, batch=False)
+    with StudyExecutor(max_workers=2) as executor:
+        batched, m_batched = run_study(executor, net, scns, chunk_size=None)
+        scalar, m_scalar = run_study(executor, net, scns, chunk_size=1)
     print(
         f"dc study on ieee57, {n} scenarios: batched {batched.runtime_s:.2f}s,"
         f" scalar {scalar.runtime_s:.2f}s"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..grid.io import to_matpower
 from ..grid.network import Network
@@ -48,7 +49,17 @@ class CacheKey:
 
 @dataclass
 class ContingencyCache:
-    """In-memory outcome cache with hit/miss instrumentation."""
+    """In-memory outcome cache with hit/miss instrumentation.
+
+    A put that finds :attr:`MAX_ENTRIES` outcomes stored drops them all
+    first, the rule :class:`~repro.scenarios.runner.TopologyCache`
+    applies: load-perturbation ensembles give every scenario a distinct
+    content hash, so the cache would otherwise grow without bound while
+    never hitting (reuse is an optimisation, not state).  Hit and miss
+    counts survive the drop; :meth:`clear` resets them too.
+    """
+
+    MAX_ENTRIES: ClassVar[int] = 20_000
 
     _store: dict[CacheKey, ContingencyOutcome] = field(default_factory=dict)
     hits: int = 0
@@ -66,10 +77,16 @@ class ContingencyCache:
             self.hits += 1
         return hit
 
+    def _make_room(self) -> None:
+        if len(self._store) >= self.MAX_ENTRIES:
+            self._store.clear()
+
     def put(self, net: Network, outcome: ContingencyOutcome) -> None:
+        self._make_room()
         self._store[self.key_for(net, outcome.branch_id)] = outcome
 
     def put_many(self, net: Network, outcomes: list[ContingencyOutcome]) -> None:
+        self._make_room()
         content = network_content_hash(net)
         name = net.metadata.case_name
         for o in outcomes:

@@ -30,8 +30,8 @@ chunks lazily from the scenario stream with a bounded in-flight window
 (backpressure against the pool) and yields completed chunks in order,
 so a 10k-scenario ensemble flows through the parent process without
 ever materialising — the consumer folds each chunk into an online
-reducer and drops it.  :meth:`~StudyExecutor.run_study` keeps the
-materialised list shape for callers that want it.
+reducer and drops it; a caller that wants the full record list
+concatenates the chunks' results.
 """
 
 from __future__ import annotations
@@ -430,27 +430,6 @@ class StudyExecutor:
 
         with self._lock:
             self.n_studies += 1
-
-    def run_study(
-        self,
-        base: Network,
-        config: StudyConfig,
-        scenarios: Iterable[Scenario],
-        *,
-        chunk_size: int | None = None,
-    ) -> list[ScenarioResult]:
-        """Execute ``scenarios`` on the pool, preserving order.
-
-        Materialised convenience over :meth:`run_study_chunks` — same
-        windowed dispatch underneath, results concatenated for callers
-        that want the full list.
-        """
-        results: list[ScenarioResult] = []
-        for outcome in self.run_study_chunks(
-            base, config, scenarios, chunk_size=chunk_size
-        ):
-            results.extend(outcome.results)
-        return results
 
     def _reset_broken_pool(self, pool: ProcessPoolExecutor) -> None:
         """Drop ``pool`` if it is still current (caller holds the lock).

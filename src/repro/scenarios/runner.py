@@ -18,11 +18,16 @@ every scenario it processes:
 * the composite-key contingency cache, so identical (content, outage)
   evaluations are never repeated within a worker.
 
-Chunks, not scenarios, are the worker's unit of work: injection-only
-chunks of the linear analyses route through the batched physics kernels
-(:mod:`repro.powerflow.batch`) — one stacked multi-RHS solve per chunk,
-bit-identical to the scalar loop — while mixed or topology-changing
-chunks degrade gracefully to per-scenario evaluation.
+Chunks, not scenarios, are the worker's unit of work, and
+:meth:`_WorkerState.run_chunk` is the one seam where the fast paths
+engage.  Each is a :class:`_FastPath`: the batched DC kernels
+(:mod:`repro.powerflow.batch`, one stacked multi-RHS solve per chunk,
+bit-identical to the scalar loop) for injection-only ``dc`` and
+``screening`` rows, and the warm AC kernel's injection and branch-outage
+solves for ``powerflow``.  The seam opens each group's span, builds its
+base kernel, times it, counts every row handed back by reason, and bills
+every record once; rows no fast path solved take the scalar
+per-scenario loop, which the fast paths are tested against.
 
 Results are plain-data :class:`ScenarioResult` records — cheap to pickle
 back — and the chunked dispatch preserves scenario order, so serial,
@@ -49,7 +54,7 @@ import time
 from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from ..instrumentation.metrics import ITERATION_BUCKETS, get_metrics
 from ..instrumentation.probes import record_fallbacks
 from ..instrumentation.trace import get_tracer
 from ..contingency.cache import ContingencyCache
-from ..contingency.lodf import SensitivityFactors, compute_factors
+from ..contingency.lodf import compute_factors
 from ..contingency.nminus1 import NMinus1Report, run_n_minus_1
 from ..contingency.ranking import rank_critical_elements
 from ..contingency.screening import screen_dc, screen_dc_many
@@ -290,9 +295,6 @@ class StudyConfig:
     #: one store entry, and keys minted before slicing keep matching.
     slice_by: tuple[str, ...] = field(default=(), metadata={"hash": False})
     slice_max_values: int = field(default=DEFAULT_SLICE_MAX_VALUES, metadata={"hash": False})
-    #: Route injection-only chunks of "dc"/"screening" through the
-    #: batched kernels; records are bit-identical either way.
-    batch_kernels: bool = field(default=True, metadata={"hash": False})
     #: "warm" routes injection-only and branch-outage powerflow chunks
     #: through the topology-cached AC kernel; "cold" forces the exact
     #: legacy per-scenario solve.  The two agree only under the parity
@@ -328,6 +330,24 @@ class StudyConfig:
         }
 
 
+def _failed(scenario: Scenario, error: str) -> ScenarioResult:
+    """The record of a scenario that produced no converged answer."""
+    return ScenarioResult(
+        name=scenario.name, tags=dict(scenario.tags), converged=False, error=error
+    )
+
+
+def _error_message(exc: Exception) -> str:
+    """A perturbation error's own message; any other exception's type too."""
+    if isinstance(exc, ScenarioError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _injection_only(scenario: Scenario) -> bool:
+    return scenario.injection_only
+
+
 def _branch_outages(scenario: Scenario) -> frozenset[int]:
     """Branch ids of a pure branch-outage scenario (empty otherwise)."""
     perts = scenario.perturbations
@@ -353,17 +373,8 @@ def _replay(
         try:
             values.append(replay(scenario))
             live.append(i)
-        except ScenarioError as exc:
-            results[i] = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=str(exc),
-            )
         except Exception as exc:
-            results[i] = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            results[i] = _failed(scenario, _error_message(exc))
     return results, live, values
 
 
@@ -395,6 +406,25 @@ class TopologyCache:
         return value
 
 
+class _FastPath(NamedTuple):
+    """One fast tier of :meth:`_WorkerState.run_chunk`.
+
+    The rows ``accepts`` takes form the group, which engages from
+    ``min_rows`` rows on.  ``kernels`` builds the kernel for the base,
+    and ``solve(kernel, group)`` returns the group's records (``None``
+    for each row handed back to the scalar loop) and the handback counts
+    by reason.  ``label`` names the path in fallback counts; ``span`` is
+    the group span's name.
+    """
+
+    label: str
+    span: str
+    accepts: Callable[[Scenario], object]
+    min_rows: int
+    kernels: TopologyCache
+    solve: Callable[[object, list[Scenario]], tuple[list, Mapping[str, int]]]
+
+
 class _WorkerState:
     """One worker's long-lived state: base network plus reusable caches.
 
@@ -403,12 +433,6 @@ class _WorkerState:
     depend on it alone are computed once: :attr:`base_connected` and the
     kernels keyed by its topology.
     """
-
-    #: Entry cap for the per-worker contingency cache.  Load-perturbation
-    #: ensembles give every scenario a distinct content hash, so the cache
-    #: would otherwise grow without bound while never hitting; past the
-    #: cap it is simply dropped (reuse is an optimisation, not state).
-    CA_CACHE_MAX_ENTRIES = 20_000
 
     def __init__(self, base: Network, config: StudyConfig) -> None:
         self.base = base
@@ -431,47 +455,20 @@ class _WorkerState:
         """Whether the base is one island: one graph build per state."""
         return gridgraph.is_connected(self.base)
 
-    def kernel_for(self, net: Network) -> DcKernel:
-        """Compiled :class:`DcKernel`: one factorization per topology."""
-        return self.dc_kernels.get(net)
-
-    def ac_kernel_for(self, net: Network) -> AcKernel:
-        """Warm-start :class:`AcKernel`: one base solve and one B'/B''
-        factorization pair per topology."""
-        return self.ac_kernels.get(net)
-
-    def factors_for(self, net: Network) -> SensitivityFactors:
-        """PTDF/LODF factors through the same LU the kernel cache holds."""
-        return self.factors.get(net)
-
     # ------------------------------------------------------------------
-    def run_chunk(self, scenarios: list[Scenario]) -> list[ScenarioResult]:
-        """Chunk-level entry point every execution path funnels through.
+    def _fast_paths(self) -> tuple[_FastPath, ...]:
+        """The fast paths the config selects, in the order they run.
 
-        Scenarios are grouped by whether they keep the base electrical
-        topology: for the linear analyses, the injection-only group maps
-        onto one topology digest (the base's) and is solved through the
-        batched kernels in one multi-RHS pass (bit-identical to the
-        scalar path); for ``analysis="powerflow"`` with ``ac_mode="warm"``
-        the injection-only group routes through the warm-start AC kernel
-        and the pure branch-outage group through the same kernel's
-        compensated outage solve (parity contract, not bit-identity —
-        the iterates are path-dependent).  Other topology changers, rows
-        a fast path hands back, and every scenario of the other nonlinear
-        analyses take the scalar per-scenario loop.  Chunk results come
-        back in submission order either way.
+        Built per chunk rather than stored: the bound solves refer back
+        to the state, and a stored cycle would outlive a dropped state.
         """
         cfg = self.config
-        groups: list[tuple[list[int], Callable]] = []
-        if (
-            cfg.batch_kernels
-            and cfg.analysis in ("dc", "screening")
-            and len(scenarios) >= 2
-        ):
-            batch_idx = [i for i, s in enumerate(scenarios) if s.injection_only]
-            if len(batch_idx) >= 2:
-                groups.append((batch_idx, self._run_chunk_batched))
-        elif cfg.analysis == "powerflow" and cfg.ac_mode == "warm":
+        if cfg.analysis in ("dc", "screening"):
+            return (
+                _FastPath("batch", "chunk.batch", _injection_only, 2,
+                          self.dc_kernels, self._solve_batched),
+            )
+        if cfg.analysis == "powerflow" and cfg.ac_mode == "warm":
             # The warm paths solve rows independently (the screen, the
             # multi-RHS sweeps, and the Newton polish never mix rows), so
             # they engage even for singleton groups: a scenario's iterate
@@ -479,28 +476,68 @@ class _WorkerState:
             # injection or outage set, never on chunking — which is what
             # keeps serial, pooled, and executor dispatch producing
             # identical records.
-            groups.append(
-                ([i for i, s in enumerate(scenarios) if s.injection_only],
-                 self._run_chunk_ac)
+            return (
+                _FastPath("ac", "chunk.ac_batch", _injection_only, 1,
+                          self.ac_kernels, self._solve_ac),
+                _FastPath("outage", "chunk.ac_batch", _branch_outages, 1,
+                          self.ac_kernels, self._solve_outages),
             )
-            groups.append(
-                ([i for i, s in enumerate(scenarios) if _branch_outages(s)],
-                 self._run_chunk_outages)
-            )
+        return ()
+
+    def run_chunk(self, scenarios: list[Scenario]) -> list[ScenarioResult]:
+        """Chunk-level entry point every execution path funnels through.
+
+        The one fast-path seam.  Each fast path the config selects takes
+        the rows it accepts as one group under its span: the batched DC
+        kernels for the injection-only rows of ``dc`` and ``screening``
+        (bit-identical to the scalar path), and for ``powerflow`` with
+        ``ac_mode="warm"`` the warm-start AC kernel for injection-only
+        rows and its compensated outage solve for pure branch-outage
+        rows (parity contract, not bit-identity — the iterates are
+        path-dependent).  A group whose base kernel is unavailable hands
+        all its rows back, a group solve may hand back single rows, and
+        either way the handoff is counted by reason.  Rows no fast path
+        solved — other topology changers, handbacks, and every scenario
+        of the other analyses — take the scalar :meth:`run_scenario`.
+        Each record is billed once, here, and the chunk's records come
+        back in submission order.
+        """
+        cfg = self.config
+        tracer = get_tracer()
         out: list[ScenarioResult | None] = [None] * len(scenarios)
-        for idx, solve_group in groups:
-            if idx:
-                solved = solve_group([scenarios[i] for i in idx])
-                for i, r in zip(idx, solved or ()):
-                    out[i] = r
-        return [
+        for path in self._fast_paths():
+            idx = [i for i, s in enumerate(scenarios) if path.accepts(s)]
+            if len(idx) < path.min_rows:
+                continue
+            with tracer.span(
+                path.span, analysis=cfg.analysis, n_scenarios=len(idx)
+            ) as span:
+                kernel, reason = self._base_kernel(path.kernels.get, path.label, len(idx))
+                if reason is not None:
+                    record_fallbacks(span, path.label, {reason: len(idx)})
+                    continue
+                tick = time.perf_counter()
+                solved, handbacks = path.solve(kernel, [scenarios[i] for i in idx])
+                elapsed = time.perf_counter() - tick
+                record_fallbacks(span, path.label, handbacks)
+            done = [(i, r) for i, r in zip(idx, solved) if r is not None]
+            for i, r in done:
+                r.solve_time_s = elapsed / len(done)
+                out[i] = r
+        results = [
             r if r is not None else self.run_scenario(s)
             for s, r in zip(scenarios, out)
         ]
+        billed = get_metrics().counter(
+            "gridmind_scenarios_total", "Scenario evaluations by outcome"
+        )
+        for r in results:
+            billed.inc(analysis=cfg.analysis, converged=r.converged)
+        return results
 
-    def _base_kernel(self, build: Callable, span, path: str, n_rows: int):
-        """``build(base)`` for a group solve, or ``None`` after counting
-        why the whole group takes the scalar loop instead.
+    def _base_kernel(self, build: Callable, path: str, n_rows: int):
+        """``(build(base), None)`` for a group solve, or ``(None, reason)``
+        naming why the whole group takes the scalar loop instead.
 
         A disconnected base needs each realized network for the scalar
         path's per-scenario stranded-MW message; an unconverged base has
@@ -508,81 +545,59 @@ class _WorkerState:
         is logged with its traceback.  Connectivity is read from
         :attr:`base_connected`, so no chunk builds a graph.
         """
-        reason = None
-        kernel = None
         if not self.base_connected:
-            reason = "disconnected-base"
-        else:
-            try:
-                kernel = build(self.base)
-                if isinstance(kernel, AcKernel) and not kernel.usable:
-                    reason = "base-diverged"
-            except Exception:
-                log.exception(
-                    "%s kernel build failed; %d rows take the scalar loop",
-                    path, n_rows,
-                )
-                reason = "build-error"
-        if reason is not None:
-            record_fallbacks(span, path, {reason: n_rows})
-            return None
-        return kernel
+            return None, "disconnected-base"
+        try:
+            kernel = build(self.base)
+        except Exception:
+            log.exception(
+                "%s kernel build failed; %d rows take the scalar loop",
+                path, n_rows,
+            )
+            return None, "build-error"
+        if isinstance(kernel, AcKernel) and not kernel.usable:
+            return None, "base-diverged"
+        return kernel, None
 
-    def _run_chunk_batched(
-        self, scenarios: list[Scenario]
-    ) -> list[ScenarioResult] | None:
-        """Evaluate an injection-only group through the batched kernels.
+    def _solve_batched(self, kernel: DcKernel, scenarios: list[Scenario]):
+        """An injection-only ``dc`` or ``screening`` group in one stacked
+        multi-RHS solve.
 
-        Returns ``None`` to signal "degrade to the scalar loop" when the
-        base kernel is unavailable (see :meth:`_base_kernel`).
         Per-scenario perturbation errors do *not* sink the group: the
         offending scenario gets the same error record the scalar path
-        would produce and the rest still batch.
+        would produce and the rest still batch.  Screening batches only
+        the DC estimate and AC-verifies each row through
+        :meth:`run_scenario`.
         """
         cfg = self.config
         base = self.base
         metrics = get_metrics()
-        with get_tracer().span(
-            "chunk.batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
-        ) as span:
-            kernel = self._base_kernel(self.kernel_for, span, "batch", len(scenarios))
-            if kernel is None:
-                return None
-            tick = time.perf_counter()
-            results, live, vectors = _replay(
-                scenarios, lambda s: s.injection_vector(base)
-            )
-            if live:
-                p_inj = np.vstack(vectors)
-                if cfg.analysis == "dc":
-                    batch = kernel.solve_many(p_inj)
-                    per_scn = (time.perf_counter() - tick) / len(live)
-                    for j, i in enumerate(live):
-                        results[i] = self._dc_result(
-                            scenarios[i], kernel.arr, batch.loading_percent[j]
-                        )
-                        results[i].solve_time_s = per_scn
-                else:  # screening: batch the DC estimate, AC-verify per scenario
-                    factors = self.factors_for(base)
-                    estimates = screen_dc_many(kernel, factors, p_inj)
-                    for j, i in enumerate(live):
-                        results[i] = self.run_scenario(
-                            scenarios[i], estimate=estimates[j]
-                        )
-                metrics.counter(
-                    "gridmind_batch_solves_total",
-                    "Multi-RHS batched kernel solve calls",
-                ).inc(analysis=cfg.analysis)
-                metrics.counter(
-                    "gridmind_batch_rows_total",
-                    "Scenario rows solved through the batched kernels",
-                ).inc(len(live), analysis=cfg.analysis)
-
-        # Screening rows already went through run_scenario; the dc rows
-        # (and error records) have not.
-        if cfg.analysis == "dc":
-            self._bill(results)
-        return results  # type: ignore[return-value]
+        results, live, vectors = _replay(
+            scenarios, lambda s: s.injection_vector(base)
+        )
+        if live:
+            p_inj = np.vstack(vectors)
+            if cfg.analysis == "dc":
+                batch = kernel.solve_many(p_inj)
+                for j, i in enumerate(live):
+                    results[i] = self._dc_result(
+                        scenarios[i], kernel.arr, batch.loading_percent[j]
+                    )
+            else:
+                estimates = screen_dc_many(kernel, self.factors.get(base), p_inj)
+                for j, i in enumerate(live):
+                    results[i] = self.run_scenario(
+                        scenarios[i], estimate=estimates[j]
+                    )
+            metrics.counter(
+                "gridmind_batch_solves_total",
+                "Multi-RHS batched kernel solve calls",
+            ).inc(analysis=cfg.analysis)
+            metrics.counter(
+                "gridmind_batch_rows_total",
+                "Scenario rows solved through the batched kernels",
+            ).inc(len(live), analysis=cfg.analysis)
+        return results, {}
 
     def _dc_result(
         self, scenario: Scenario, arr, loading: np.ndarray
@@ -606,139 +621,89 @@ class _WorkerState:
             n_voltage_violations=n_volt,
         )
 
-    def _run_chunk_ac(
-        self, scenarios: list[Scenario]
-    ) -> list[ScenarioResult | None] | None:
-        """Evaluate an injection-only AC group through the warm kernel.
+    def _solve_ac(self, kernel: AcKernel, scenarios: list[Scenario]):
+        """An injection-only AC group through the warm kernel.
 
-        Returns ``None`` to signal "degrade the whole group to the scalar
-        loop" when the base kernel is unavailable (see
-        :meth:`_base_kernel`).  Individual rows degrade too: a
-        perturbation error gets the same error record the scalar path
-        would produce, and a row whose warm Newton polish fails comes
-        back as ``None`` so the caller reruns it through the exact cold
-        ladder (``solve_newton`` then ``solve_with_recovery``), making
-        error records byte-identical on both paths.
+        A perturbation error gets the same error record the scalar path
+        would produce, and a row whose warm Newton polish fails is handed
+        back so it reruns through the exact cold ladder
+        (``solve_newton`` then ``solve_with_recovery``), making error
+        records byte-identical on both paths.
         """
-        cfg = self.config
         base = self.base
         metrics = get_metrics()
-        with get_tracer().span(
-            "chunk.ac_batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
-        ) as span:
-            kernel = self._base_kernel(self.ac_kernel_for, span, "ac", len(scenarios))
-            if kernel is None:
-                return None
-            tick = time.perf_counter()
-            results, live, injections = _replay(scenarios, lambda s: s.ac_injection(base))
-            if live:
-                sol = kernel.solve_chunk(
-                    np.vstack([sbus for sbus, _pd, _qd in injections]),
-                    fd_sweeps=cfg.ac_fd_sweeps,
-                )
-                per_scn = (time.perf_counter() - tick) / len(live)
-                iters_hist = metrics.histogram(
-                    "gridmind_ac_newton_iterations",
-                    "Newton iterations per AC ensemble scenario",
-                    buckets=ITERATION_BUCKETS,
-                )
-                n_warm = 0
-                n_skipped = 0
-                stalled = 0
-                for j, i in enumerate(live):
-                    if not sol.converged[j]:
-                        stalled += 1
-                        continue  # leave None: caller runs the cold ladder
-                    _sbus, pd, qd = injections[j]
-                    res = kernel.finalize_row(
-                        sol.v[j], pd, qd,
-                        converged=True,
-                        iterations=int(sol.iterations[j]),
-                        norm=float(sol.norms[j]),
-                    )
-                    results[i] = self._pf_record(scenarios[i], res)
-                    results[i].solve_time_s = per_scn
-                    iters_hist.observe(float(sol.iterations[j]), mode="warm")
-                    if sol.skipped[j]:
-                        n_skipped += 1
-                    else:
-                        n_warm += 1
-                if n_warm:
-                    metrics.counter(
-                        "gridmind_ac_warm_solves_total",
-                        "AC ensemble rows solved warm through the kernel",
-                    ).inc(n_warm)
-                if n_skipped:
-                    metrics.counter(
-                        "gridmind_ac_skipped_converged_total",
-                        "AC ensemble rows already converged at the warm start",
-                    ).inc(n_skipped)
-                record_fallbacks(span, "ac", {"polish-diverged": stalled})
+        results, live, injections = _replay(scenarios, lambda s: s.ac_injection(base))
+        if not live:
+            return results, {}
+        sol = kernel.solve_chunk(
+            np.vstack([sbus for sbus, _pd, _qd in injections]),
+            fd_sweeps=self.config.ac_fd_sweeps,
+        )
+        iters_hist = metrics.histogram(
+            "gridmind_ac_newton_iterations",
+            "Newton iterations per AC ensemble scenario",
+            buckets=ITERATION_BUCKETS,
+        )
+        n_warm = 0
+        n_skipped = 0
+        stalled = 0
+        for j, i in enumerate(live):
+            if not sol.converged[j]:
+                stalled += 1
+                continue  # leave None: the scalar loop runs the cold ladder
+            _sbus, pd, qd = injections[j]
+            res = kernel.finalize_row(
+                sol.v[j], pd, qd,
+                converged=True,
+                iterations=int(sol.iterations[j]),
+                norm=float(sol.norms[j]),
+            )
+            results[i] = self._pf_record(scenarios[i], res)
+            iters_hist.observe(float(sol.iterations[j]), mode="warm")
+            if sol.skipped[j]:
+                n_skipped += 1
+            else:
+                n_warm += 1
+        if n_warm:
+            metrics.counter(
+                "gridmind_ac_warm_solves_total",
+                "AC ensemble rows solved warm through the kernel",
+            ).inc(n_warm)
+        if n_skipped:
+            metrics.counter(
+                "gridmind_ac_skipped_converged_total",
+                "AC ensemble rows already converged at the warm start",
+            ).inc(n_skipped)
+        return results, {"polish-diverged": stalled}
 
-        self._bill(results)
-        return results
-
-    def _run_chunk_outages(
-        self, scenarios: list[Scenario]
-    ) -> list[ScenarioResult | None] | None:
-        """Evaluate a branch-outage AC group through the base kernel.
+    def _solve_outages(self, kernel: AcKernel, scenarios: list[Scenario]):
+        """A branch-outage AC group through the base kernel.
 
         Every row is a set of outaged base branches at base injections,
         solved stacked by :meth:`AcKernel.solve_outages` (compensated
         warm fast-decoupled sweeps, no Ybus rebuild or refactorization).
-        Rows it hands back (islanded, stalled) come back ``None`` and the
-        caller runs them through :meth:`run_scenario`, so their records
-        are the scalar records byte for byte; so do rows naming a branch
-        the base does not have in service.  Returns ``None`` when the
-        base kernel is unavailable (see :meth:`_base_kernel`).
+        Rows it hands back (islanded, stalled) rerun through
+        :meth:`run_scenario`, so their records are the scalar records
+        byte for byte; so do rows naming a branch the base does not have
+        in service.
         """
-        cfg = self.config
-        metrics = get_metrics()
         results: list[ScenarioResult | None] = [None] * len(scenarios)
-        with get_tracer().span(
-            "chunk.ac_batch", analysis=cfg.analysis, n_scenarios=len(scenarios)
-        ) as span:
-            kernel = self._base_kernel(
-                self.ac_kernel_for, span, "outage", len(scenarios)
-            )
-            if kernel is None:
-                return None
-            tick = time.perf_counter()
-            in_service = set(kernel.arr.branch_ids.tolist())
-            sets = [_branch_outages(s) for s in scenarios]
-            live = [i for i, ids in enumerate(sets) if ids <= in_service]
-            if live:
-                sol = kernel.solve_outages([sets[i] for i in live])
-                per_scn = (time.perf_counter() - tick) / len(live)
-                for i, row in zip(live, sol.rows):
-                    if row is not None:
-                        results[i] = self._pf_record(scenarios[i], row)
-                        results[i].solve_time_s = per_scn
-                solved = sum(r is not None for r in results)
-                if solved:
-                    metrics.counter(
-                        "gridmind_ac_outage_solves_total",
-                        "Branch-outage rows solved through the compensated AC kernel",
-                    ).inc(solved, path="study")
-                record_fallbacks(
-                    span, "outage", Counter(r for r in sol.reasons if r is not None)
-                )
-
-        self._bill(results)
-        return results
-
-    def _bill(self, results: Iterable[ScenarioResult | None]) -> None:
-        """Metric parity with the scalar loop: count each record once.
-
-        Every path bills the records it produced; ``None`` rows are
-        handed back to :meth:`run_scenario`, which bills them itself.
-        """
-        counter = get_metrics().counter(
-            "gridmind_scenarios_total", "Scenario evaluations by outcome"
-        )
-        for r in results:
-            if r is not None:
-                counter.inc(analysis=self.config.analysis, converged=r.converged)
+        in_service = set(kernel.arr.branch_ids.tolist())
+        sets = [_branch_outages(s) for s in scenarios]
+        live = [i for i, ids in enumerate(sets) if ids <= in_service]
+        if not live:
+            return results, {}
+        sol = kernel.solve_outages([sets[i] for i in live])
+        for i, row in zip(live, sol.rows):
+            if row is not None:
+                results[i] = self._pf_record(scenarios[i], row)
+        solved = sum(r is not None for r in results)
+        if solved:
+            get_metrics().counter(
+                "gridmind_ac_outage_solves_total",
+                "Branch-outage rows solved through the compensated AC kernel",
+            ).inc(solved, path="study")
+        return results, Counter(r for r in sol.reasons if r is not None)
 
     # ------------------------------------------------------------------
     def run_scenario(self, scenario: Scenario, **hints) -> ScenarioResult:
@@ -748,7 +713,6 @@ class _WorkerState:
             if result.error:
                 span.status = "error"
                 span.error = result.error
-        self._bill((result,))
         return result
 
     def _run_scenario(self, scenario: Scenario, **hints) -> ScenarioResult:
@@ -766,28 +730,16 @@ class _WorkerState:
                 # Outage combinations can island the system (N-2 over a
                 # bridge); no solver can run, but the study must record
                 # the scenario rather than die on a singular matrix.
-                result = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=(
-                        "scenario islands the network "
-                        f"({gridgraph.stranded_load_mw(net, frozenset()):.1f} MW stranded)"
-                    ),
+                result = _failed(
+                    scenario,
+                    "scenario islands the network "
+                    f"({gridgraph.stranded_load_mw(net, frozenset()):.1f} MW stranded)",
                 )
             else:
                 runner = getattr(self, f"_run_{self.config.analysis}")
                 result = runner(net, scenario, **hints)
-        except ScenarioError as exc:
-            result = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=str(exc),
-            )
         except Exception as exc:  # solver edge cases must not kill the batch
-            result = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            result = _failed(scenario, _error_message(exc))
         result.solve_time_s = time.perf_counter() - tick
         return result
 
@@ -829,10 +781,7 @@ class _WorkerState:
                 buckets=ITERATION_BUCKETS,
             ).observe(float(res.iterations), mode="cold")
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=res.message or "power flow diverged",
-            )
+            return _failed(scenario, res.message or "power flow diverged")
         return self._pf_record(scenario, res)
 
     def _reduce_opf(self, scenario: Scenario, res) -> ScenarioResult:
@@ -858,10 +807,7 @@ class _WorkerState:
     def _run_opf(self, net: Network, scenario: Scenario, solve) -> ScenarioResult:
         res = solve(net)
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=res.message or "OPF did not converge",
-            )
+            return _failed(scenario, res.message or "OPF did not converge")
         return self._reduce_opf(scenario, res)
 
     def _run_dc(self, net: Network, scenario: Scenario) -> ScenarioResult:
@@ -870,8 +816,7 @@ class _WorkerState:
         through :meth:`run_chunk` / ``solve_many`` instead)."""
         from ..powerflow.dc import solve_dc
 
-        kernel = self.kernel_for(net)
-        res = solve_dc(net, kernel=kernel)
+        res = solve_dc(net, kernel=self.dc_kernels.get(net))
         return self._dc_result(scenario, net.compile(), res.loading_percent)
 
     def _run_dcopf(self, net: Network, scenario: Scenario) -> ScenarioResult:
@@ -890,11 +835,7 @@ class _WorkerState:
 
         res = solve_scopf(net)
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=res.opf.message or "SCOPF master did not converge",
-            )
+            return _failed(scenario, res.opf.message or "SCOPF master did not converge")
         out = self._reduce_opf(scenario, res.opf)
         out.security_cost = float(res.security_cost)
         # Pairs no preventive redispatch can secure — the honest residual.
@@ -907,18 +848,13 @@ class _WorkerState:
         cfg = self.config
         base = self._solve_pf(net)
         if not base.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=base.message or "base power flow diverged",
-            )
+            return _failed(scenario, base.message or "base power flow diverged")
 
         if estimate is None:
             # ``estimate`` arrives precomputed from the chunk fast path
             # (one stacked solve + LODF product for the whole group);
             # the scalar path computes the identical estimate here.
-            factors = self.factors_for(net)
-            estimate = screen_dc(net, factors=factors)
+            estimate = screen_dc(net, factors=self.factors.get(net))
         candidates = sorted(
             set(estimate.top(cfg.ac_budget))
             | set(int(b) for b in estimate.islanding)
@@ -937,8 +873,6 @@ class _WorkerState:
                 vmax=cfg.vmax,
                 overload_threshold=cfg.overload_threshold,
             ).outcomes
-            if self.ca_cache.size >= self.CA_CACHE_MAX_ENTRIES:
-                self.ca_cache.clear()
             self.ca_cache.put_many(net, fresh)
         outcomes = sorted([*cached.values(), *fresh], key=lambda o: o.branch_id)
 

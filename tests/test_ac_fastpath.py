@@ -335,9 +335,9 @@ class TestCaches:
 
     def test_ac_kernel_shared_across_load_levels(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="powerflow"))
-        k1 = state.ac_kernel_for(case14)
+        k1 = state.ac_kernels.get(case14)
         scaled = Scenario("s", (UniformLoadScale(1.2),)).realize(case14)
-        assert state.ac_kernel_for(scaled) is k1
+        assert state.ac_kernels.get(scaled) is k1
         assert len(state.ac_kernels) == 1
 
     def test_ac_kernel_cache_capped(self, case14):
@@ -345,7 +345,7 @@ class TestCaches:
         state.ac_kernels.cap = 2
         for bid in range(4):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
-            state.ac_kernel_for(net)
+            state.ac_kernels.get(net)
         assert len(state.ac_kernels) <= 2
 
 
@@ -405,10 +405,6 @@ class TestMetricsAndHash:
                 spec_hash(StudyConfig(analysis=analysis, **knobs), scns)
                 for knobs in ({}, {"ac_mode": "cold"}, {"ac_fd_sweeps": 2})
             }) == 1
-        # The batched DC path is bit-identical, so its toggle stays out.
-        assert spec_hash(
-            StudyConfig(analysis="powerflow", batch_kernels=False), scns
-        ) == warm
         # ac_budget changes which scenarios get full AC — it must hash.
         a = spec_hash(StudyConfig(analysis="screening", ac_budget=3), scns)
         b = spec_hash(StudyConfig(analysis="screening", ac_budget=4), scns)

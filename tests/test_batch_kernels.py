@@ -34,6 +34,7 @@ from repro.scenarios import (
     monte_carlo_ensemble,
     outage_combinations,
 )
+from repro.scenarios.aggregate import aggregate_study
 from repro.scenarios.runner import StudyConfig, _WorkerState
 from repro.service import StudyExecutor
 
@@ -46,15 +47,22 @@ def fresh_metrics():
     set_metrics(previous)
 
 
-def _zero_times(study):
+def _zero_times(records):
     """Per-record dicts with timing removed (solve_time_s is wall clock,
     the only field the batched path cannot reproduce bit-identically)."""
     out = []
-    for r in study.results:
+    for r in records:
         d = dataclasses.asdict(r)
         d["solve_time_s"] = 0.0
         out.append(d)
     return out
+
+
+def _scalar_reference(base, config, scns):
+    """The scalar path's records: ``run_scenario`` per scenario on a
+    fresh worker state, the reference the batched path is held to."""
+    state = _WorkerState(base.copy(), config)
+    return [state.run_scenario(s) for s in scns]
 
 
 # ----------------------------------------------------------------------
@@ -205,16 +213,11 @@ class TestDcStudy:
     @pytest.mark.parametrize("chunk_size", [1, 3, 8])
     def test_batched_equals_scalar_across_chunk_sizes(self, case14, chunk_size):
         scns = monte_carlo_ensemble(n=8, sigma=0.06, seed=21)
-        batched = BatchStudyRunner(
-            StudyConfig(analysis="dc"),
-            chunk_size=chunk_size,
-        ).run(case14, scns)
-        scalar = BatchStudyRunner(
-            StudyConfig(analysis="dc", batch_kernels=False),
-            chunk_size=chunk_size,
-        ).run(case14, scns)
-        assert _zero_times(batched) == _zero_times(scalar)
-        assert batched.aggregate().to_dict() == scalar.aggregate().to_dict()
+        cfg = StudyConfig(analysis="dc")
+        batched = BatchStudyRunner(cfg, chunk_size=chunk_size).run(case14, scns)
+        scalar = _scalar_reference(case14, cfg, scns)
+        assert _zero_times(batched.results) == _zero_times(scalar)
+        assert batched.aggregate().to_dict() == aggregate_study(scalar).to_dict()
 
     def test_mixed_chunk_preserves_order_and_values(self, case14):
         """Injection-only and outage scenarios interleaved in one chunk."""
@@ -225,13 +228,11 @@ class TestDcStudy:
             Scenario("d", (BranchOutage(5), UniformLoadScale(1.05))),
             Scenario("e", (RenewableInjection(bus=4, p_mw=20.0),)),
         ]
-        batched = BatchStudyRunner(StudyConfig(analysis="dc"), chunk_size=5).run(case14, scns)
-        scalar = BatchStudyRunner(
-            StudyConfig(analysis="dc", batch_kernels=False),
-            chunk_size=5,
-        ).run(case14, scns)
+        cfg = StudyConfig(analysis="dc")
+        batched = BatchStudyRunner(cfg, chunk_size=5).run(case14, scns)
+        scalar = _scalar_reference(case14, cfg, scns)
         assert [r.name for r in batched.results] == list("abcde")
-        assert _zero_times(batched) == _zero_times(scalar)
+        assert _zero_times(batched.results) == _zero_times(scalar)
 
     def test_error_scenarios_get_scalar_identical_records(self, case14):
         scns = [
@@ -239,12 +240,10 @@ class TestDcStudy:
             Scenario("bad", (UniformLoadScale(-2.0),)),
             Scenario("ok2", (UniformLoadScale(0.95),)),
         ]
-        batched = BatchStudyRunner(StudyConfig(analysis="dc"), chunk_size=3).run(case14, scns)
-        scalar = BatchStudyRunner(
-            StudyConfig(analysis="dc", batch_kernels=False),
-            chunk_size=3,
-        ).run(case14, scns)
-        assert _zero_times(batched) == _zero_times(scalar)
+        cfg = StudyConfig(analysis="dc")
+        batched = BatchStudyRunner(cfg, chunk_size=3).run(case14, scns)
+        scalar = _scalar_reference(case14, cfg, scns)
+        assert _zero_times(batched.results) == _zero_times(scalar)
         bad = batched.results[1]
         assert not bad.converged
         assert "load scale factor must be >= 0" in bad.error
@@ -259,14 +258,6 @@ class TestDcStudy:
             )
         assert serial.aggregate().to_dict() == pooled.aggregate().to_dict()
         assert serial.aggregate().to_dict() == streamed.aggregate().to_dict()
-
-    def test_dc_study_spec_hash_ignores_batch_toggle(self, case14):
-        from repro.service.store import spec_hash
-
-        scns = list(monte_carlo_ensemble(n=2, sigma=0.05, seed=1))
-        on = spec_hash(StudyConfig(analysis="dc", batch_kernels=True), scns)
-        off = spec_hash(StudyConfig(analysis="dc", batch_kernels=False), scns)
-        assert on == off
 
 
 # ----------------------------------------------------------------------
@@ -295,15 +286,10 @@ class TestBatchedScreening:
 
     def test_screening_study_batched_equals_scalar(self, case14):
         scns = monte_carlo_ensemble(n=4, sigma=0.05, seed=8)
-        batched = BatchStudyRunner(
-            StudyConfig(analysis="screening", ac_budget=4),
-            chunk_size=4,
-        ).run(case14, scns)
-        scalar = BatchStudyRunner(
-            StudyConfig(analysis="screening", ac_budget=4, batch_kernels=False),
-            chunk_size=4,
-        ).run(case14, scns)
-        assert _zero_times(batched) == _zero_times(scalar)
+        cfg = StudyConfig(analysis="screening", ac_budget=4)
+        batched = BatchStudyRunner(cfg, chunk_size=4).run(case14, scns)
+        scalar = _scalar_reference(case14, cfg, scns)
+        assert _zero_times(batched.results) == _zero_times(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +309,7 @@ class TestWorkerState:
         state.factors.cap = 3
         for bid in range(5):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
-            state.factors_for(net)
+            state.factors.get(net)
         assert len(state.factors) <= 3
 
     def test_kernel_cache_capped(self, case14):
@@ -331,7 +317,7 @@ class TestWorkerState:
         state.dc_kernels.cap = 2
         for bid in range(4):
             net = Scenario("o", (BranchOutage(bid),)).realize(case14)
-            state.kernel_for(net)
+            state.dc_kernels.get(net)
         assert len(state.dc_kernels) <= 2
 
     def test_dropped_state_freed_without_cycle_collector(self, case14):
@@ -341,7 +327,7 @@ class TestWorkerState:
         import weakref
 
         state = _WorkerState(case14, StudyConfig(analysis="screening"))
-        state.factors_for(case14)
+        state.factors.get(case14)
         ref = weakref.ref(state)
         gc.disable()
         try:
@@ -362,20 +348,24 @@ class TestWorkerState:
             fresh_metrics.counter("gridmind_scenarios_total").total() == 6.0
         )
 
+    @pytest.mark.parametrize("analysis", ["dc", "screening"])
+    def test_error_rows_billed_once(self, case14, fresh_metrics, analysis):
+        scns = [
+            Scenario("ok", (UniformLoadScale(1.05),)),
+            Scenario("bad", (UniformLoadScale(-2.0),)),
+            Scenario("ok2", (UniformLoadScale(0.95),)),
+        ]
+        state = _WorkerState(case14, StudyConfig(analysis=analysis, ac_budget=2))
+        results = state.run_chunk(scns)
+        assert [r.converged for r in results] == [True, False, True]
+        assert fresh_metrics.counter("gridmind_batch_rows_total").total() == 2.0
+        assert fresh_metrics.counter("gridmind_scenarios_total").total() == 3.0
+
     def test_scalar_fallback_emits_no_batch_counters(self, case14, fresh_metrics):
         scns = [Scenario(f"o{b}", (BranchOutage(b),)) for b in range(3)]
         state = _WorkerState(case14, StudyConfig(analysis="dc"))
         state.run_chunk(scns)
         assert fresh_metrics.counter("gridmind_batch_solves_total").total() == 0.0
-
-    def test_batch_kernels_off_forces_scalar(self, case14, fresh_metrics):
-        scns = list(monte_carlo_ensemble(n=4, sigma=0.05, seed=4))
-        state = _WorkerState(
-            case14, StudyConfig(analysis="dc", batch_kernels=False)
-        )
-        state.run_chunk(scns)
-        assert fresh_metrics.counter("gridmind_batch_solves_total").total() == 0.0
-        assert fresh_metrics.counter("gridmind_scenarios_total").total() == 4.0
 
 
 # ----------------------------------------------------------------------

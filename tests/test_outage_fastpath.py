@@ -46,7 +46,6 @@ from repro.scenarios import (
     monte_carlo_ensemble,
 )
 from repro.scenarios.generators import outage_combinations
-from repro.scenarios.runner import _WorkerState
 from repro.service import StudyExecutor
 
 TOL = 1e-8
@@ -375,9 +374,10 @@ class TestOutageStudies:
         assert cold_registry.counter("gridmind_ac_outage_solves_total").total() == 0
         assert cold_registry.counter("gridmind_fastpath_fallbacks_total").total() == 0
 
-    def test_mixed_chunk_keeps_order_and_scalar_records(self, case14):
+    def test_mixed_chunk_keeps_order_and_scalar_records(self, case14, fresh_metrics):
         n = case14.n_branch
         case14.set_branch_status(5, False)
+        (bridge,) = set(gridgraph.bridge_branches(case14)) - {2, 5}
         scns = [
             Scenario(name="pair", perturbations=(BranchOutage(0), BranchOutage(3))),
             Scenario(name="load", perturbations=(UniformLoadScale(1.05),)),
@@ -385,11 +385,28 @@ class TestOutageStudies:
             Scenario(name="missing", perturbations=(BranchOutage(n + 4),)),
             Scenario(name="already-out", perturbations=(BranchOutage(5), BranchOutage(2))),
             Scenario(name="single", perturbations=(BranchOutage(7),)),
+            Scenario(name="bridge", perturbations=(BranchOutage(bridge),)),
         ]
-        warm = BatchStudyRunner(StudyConfig(analysis="powerflow"), chunk_size=6).run(case14, scns)
+        with tracing() as tracer:
+            warm = BatchStudyRunner(
+                StudyConfig(analysis="powerflow"), chunk_size=len(scns)
+            ).run(case14, scns)
+        # One chunk, every record billed once across the fast paths and
+        # the scalar loop.
+        assert fresh_metrics.counter("gridmind_scenarios_total").total() == len(scns)
+        # Each group span carries its own handbacks: none from the one
+        # injection row, the islanding bridge from the five outage rows.
+        groups = sorted(
+            (s for s in tracer.spans() if s.name == "chunk.ac_batch"),
+            key=lambda s: s.tags["n_scenarios"],
+        )
+        assert [s.tags["n_scenarios"] for s in groups] == [1, 5]
+        assert "fallbacks" not in groups[0].tags
+        assert groups[1].tags["fallbacks"] == {"islanded": 1}
+        assert _fallbacks(fresh_metrics, path="outage", reason="islanded") == 1
         cold = BatchStudyRunner(
             StudyConfig(analysis="powerflow", ac_mode="cold"),
-            chunk_size=6,
+            chunk_size=len(scns),
         ).run(case14, scns)
         assert [r.name for r in warm.results] == [s.name for s in scns]
         _assert_record_parity(warm, cold)
@@ -437,7 +454,7 @@ class TestFallbackAccounting:
         def broken(self, net):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(_WorkerState, "ac_kernel_for", broken)
+        monkeypatch.setattr(AcKernel, "__init__", broken)
         scns = list(monte_carlo_ensemble(n=4, sigma=0.05, seed=2))
         scns.append(Scenario(name="out", perturbations=(BranchOutage(3),)))
         with caplog.at_level(logging.ERROR, logger="repro.scenarios.runner"):

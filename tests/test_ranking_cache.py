@@ -1,5 +1,7 @@
 """Critical-element ranking and the composite-key contingency cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.contingency import (
@@ -134,6 +136,31 @@ class TestCache:
         cache.clear()
         assert cache.size == 0
         assert cache.hits == 0
+
+    def test_full_cache_drops_every_entry(self, case30):
+        from repro.contingency import analyze_single_outage
+
+        cap = ContingencyCache.MAX_ENTRIES
+        out = analyze_single_outage(case30, 4)
+
+        def outcomes(ids):
+            return [dataclasses.replace(out, branch_id=b) for b in ids]
+
+        cache = ContingencyCache()
+        cache.put_many(case30, outcomes(range(cap)))
+        assert cache.size == cap
+        assert cache.get(case30, 0) is not None
+        # A put that finds the cache full drops every entry first.
+        cache.put(case30, outcomes([cap])[0])
+        assert cache.size == 1
+        assert cache.get(case30, 0) is None
+        assert cache.get(case30, cap).branch_id == cap
+        cache.put_many(case30, outcomes(range(cap - 1)))
+        assert cache.size == cap
+        cache.put_many(case30, outcomes([cap + 1, cap + 2]))
+        assert cache.size == 2
+        # The drop is not a reset: hit and miss counts keep running.
+        assert (cache.hits, cache.misses) == (2, 1)
 
 
 class TestContentHashMemo:

@@ -186,14 +186,23 @@ class TestInterleavedDeterminism:
 # ----------------------------------------------------------------------
 
 
+def _fold(executor, base, config, scenarios):
+    """The executor's chunk stream folded into one ordered record list."""
+    return [
+        r
+        for outcome in executor.run_study_chunks(base, config, scenarios)
+        for r in outcome.results
+    ]
+
+
 class TestStudyExecutor:
     def test_back_to_back_studies_reuse_one_pool(self, case14):
         scenarios = load_sweep(0.9, 1.1, 8)
         config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=2) as executor:
-            first = executor.run_study(case14, config, scenarios)
+            first = _fold(executor, case14, config, scenarios)
             pids_after_first = set(executor.worker_pids)
-            second = executor.run_study(case14, config, scenarios)
+            second = _fold(executor, case14, config, scenarios)
             stats = executor.stats()
         assert stats["pools_started"] == 1  # the acceptance signal
         assert stats["n_studies"] == 2
@@ -209,13 +218,13 @@ class TestStudyExecutor:
         scenarios = load_sweep(0.9, 1.1, 4)
         config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1) as executor:
-            executor.run_study(case14, config, scenarios)
+            _fold(executor, case14, config, scenarios)
             (pid,) = executor.worker_pids
             os.kill(pid, signal.SIGKILL)
             with pytest.raises(BrokenProcessPool):
-                executor.run_study(case14, config, scenarios)
+                _fold(executor, case14, config, scenarios)
             # The broken pool was dropped; the next study restarts fresh.
-            results = executor.run_study(case14, config, scenarios)
+            results = _fold(executor, case14, config, scenarios)
             assert len(results) == 4
             assert executor.stats()["pools_started"] == 2
 
@@ -342,7 +351,6 @@ class TestResultStore:
         ({"ac_mode": "cold"}, "f1b4378fbc8336ba"),
         ({"ac_fd_sweeps": 2}, "7e81bfb61e7bf699"),
         ({"analysis": "dc"}, "8b6cb0a09603643d"),
-        ({"analysis": "dc", "batch_kernels": False}, "8b6cb0a09603643d"),
         ({"analysis": "dc", "ac_mode": "cold"}, "8b6cb0a09603643d"),
         ({"analysis": "screening", "ac_budget": 4}, "c3786dc62c7fe840"),
         ({"slice_by": ("scale",), "slice_max_values": 7}, "e34643b1753c3f48"),

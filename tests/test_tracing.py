@@ -492,6 +492,15 @@ class TestStudyTracePropagation:
         assert m.histogram("gridmind_solver_seconds").count(solver="newton") == 4
 
 
+def _fold(executor, base, config, scenarios):
+    """The executor's chunk stream folded into one ordered record list."""
+    return [
+        r
+        for outcome in executor.run_study_chunks(base, config, scenarios)
+        for r in outcome.results
+    ]
+
+
 class TestExecutorRetry:
     def test_broken_pool_retry_completes_study(self, case14):
         import signal
@@ -499,12 +508,12 @@ class TestExecutorRetry:
         scenarios = load_sweep(0.9, 1.1, 4)
         config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1, retries=1) as executor:
-            baseline = executor.run_study(case14, config, scenarios)
+            baseline = _fold(executor, case14, config, scenarios)
             (pid,) = executor.worker_pids
             os.kill(pid, signal.SIGKILL)
             # With a retry budget the study survives the dead worker:
             # the lost chunks are resubmitted, in order, on a new pool.
-            results = executor.run_study(case14, config, scenarios)
+            results = _fold(executor, case14, config, scenarios)
             stats = executor.stats()
         assert [r.name for r in results] == [r.name for r in baseline]
         assert all(r.converged for r in results)
@@ -520,7 +529,7 @@ class TestExecutorRetry:
         scenarios = load_sweep(0.9, 1.1, 4)
         config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=2) as executor:
-            executor.run_study(case14, config, scenarios)
+            _fold(executor, case14, config, scenarios)
             stats = executor.stats()
             assert stats["alive"] is True
         assert stats["max_workers"] == 2
@@ -538,10 +547,10 @@ class TestExecutorRetry:
         scenarios = load_sweep(0.9, 1.1, 4)
         config = StudyConfig(analysis="powerflow")
         with StudyExecutor(max_workers=1, retries=1) as executor:
-            executor.run_study(case14, config, scenarios)
+            _fold(executor, case14, config, scenarios)
             (pid,) = executor.worker_pids
             os.kill(pid, signal.SIGKILL)
-            executor.run_study(case14, config, scenarios)
+            _fold(executor, case14, config, scenarios)
             stats = executor.stats()
         gauge = fresh_metrics.gauge("gridmind_executor_in_flight")
         # The finally block must release every slot even when chunks were
