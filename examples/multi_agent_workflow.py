@@ -40,7 +40,7 @@ def main() -> None:
     print(f"  ACOPF deposited : ${ctx.acopf_solution.objective_cost:,.2f}/h "
           f"({'fresh' if ctx.acopf_fresh() else 'stale'})")
     print(f"  CA consumed base: ${ctx.ca_result.base_objective_cost:,.2f}/h")
-    print(f"  CA cached       : {ctx.contingency_cache.size} outage outcomes")
+    print(f"  CA cached       : {len(ctx.contingency_cache)} outage outcomes")
 
     print("\nfollow-up question reuses the cache (no re-sweep):")
     follow = session.ask("what's the contingency status?")

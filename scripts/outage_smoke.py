@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Tier-2 outage fast-path smoke: compensated kernel == scalar path.
 
-Two checks on ieee118:
+Three checks on ieee118:
 
 * an N-1 sweep through ``run_n_minus_1`` (compensated warm-FD kernel,
   scalar fallback for the rows it hands back) against the scalar sweep
@@ -11,6 +11,10 @@ Two checks on ieee118:
   The scalar sweep runs on a fresh copy and does one full admittance
   build in all (every outage's snapshot is derived from the base), and
   a sample of derived snapshots equals fresh rebuilds bit for bit;
+* the N-1 sweep twice through the one cached path (``run_n_minus_1``
+  with a ``ContingencyCache``): the second run is all hits, builds no
+  kernel and gives identical outcomes, and a third run at another
+  overload threshold misses every outage;
 * the same N-2 outage study warm (``ac_mode="warm"``) and cold over the
   shared-executor pool: the parity contract holds record for record,
   the outage counters (``gridmind_ac_outage_solves_total`` plus the
@@ -34,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.contingency import ContingencyCache, nminus1
 from repro.contingency.nminus1 import analyze_single_outage, run_n_minus_1
 from repro.grid import graph as gridgraph
 from repro.grid import ybus
@@ -115,6 +120,36 @@ def n_minus_1(net) -> None:
     check(
         all(derived_equals_rebuild(work, bid) for bid in sample),
         f"{len(sample)} derived outage snapshots equal fresh rebuilds bit for bit",
+    )
+
+
+def cached_sweeps(net) -> None:
+    cache = ContingencyCache()
+    base = solve_newton(net)
+    first = run_n_minus_1(net, base_result=base, cache=cache)
+    n = first.n_contingencies
+    real_kernel = nminus1.AcKernel
+    kernels = []
+    nminus1.AcKernel = lambda *a, **k: kernels.append(1) or real_kernel(*a, **k)
+    try:
+        second = run_n_minus_1(net, base_result=base, cache=cache)
+        built_by_second = len(kernels)
+        third = run_n_minus_1(net, base_result=base, cache=cache, overload_threshold=97.0)
+    finally:
+        nminus1.AcKernel = real_kernel
+    print(f"cached N-1 sweeps on ieee118, {n} outages each")
+    check(
+        (first.cache_hits, first.cache_misses) == (0, n),
+        f"first cached sweep misses all {n} outages",
+    )
+    check(
+        (second.cache_hits, second.cache_misses) == (n, 0) and built_by_second == 0,
+        f"repeat sweep is all {n} hits and builds no kernel",
+    )
+    check(second.outcomes == first.outcomes, "repeat sweep gives identical outcomes")
+    check(
+        (third.cache_hits, third.cache_misses) == (0, n) and len(kernels) == 1,
+        f"a sweep at another threshold misses all {n} outages and builds its kernel",
     )
 
 
@@ -208,6 +243,7 @@ def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 64
     net = load_case("ieee118")
     n_minus_1(net)
+    cached_sweeps(net)
     n_minus_2(net, n)
     print("\noutage smoke: all checks passed")
     return 0

@@ -19,6 +19,11 @@ the same converged flags and overload/violation sets, mismatches under
 the same tolerance, loading within 1e-6.  The sweep runs in-process: with
 the kernel an ieee118 sweep takes about 0.1 s, less than starting a
 process pool.
+
+Given a :class:`~repro.contingency.cache.ContingencyCache`, the sweep
+first takes every outcome the cache holds for this network's content and
+these limits, runs both tiers on the misses only and stores their
+outcomes back.  The CA agent and the screening study both sweep this way.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from ..instrumentation.trace import get_tracer
 from ..powerflow.ac_batch import AcKernel
 from ..powerflow.newton import solve_newton
 from ..powerflow.solution import FlowSummary, PowerFlowResult
+from .cache import ContingencyCache
 from .outcomes import ContingencyOutcome
 
 log = logging.getLogger(__name__)
@@ -57,6 +63,10 @@ class NMinus1Report:
     vmin: float = 0.94
     vmax: float = 1.06
     extras: dict = field(default_factory=dict)
+    #: Outages the cache served, and outages the sweep computed (every
+    #: one when it ran without a cache).
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def n_contingencies(self) -> int:
@@ -85,6 +95,7 @@ def run_n_minus_1(
     overload_threshold: float = 100.0,
     base_result: PowerFlowResult | None = None,
     kernel=None,
+    cache: ContingencyCache | None = None,
 ) -> NMinus1Report:
     """Sweep single-branch outages and report post-contingency stress.
 
@@ -96,7 +107,11 @@ def run_n_minus_1(
     its cached base solve then seeds the sweep (no fresh base Newton run)
     and its factorizations serve every outage, which is what makes
     repeated sweeps over one operating point cheap.  Without one, a
-    kernel is built per sweep seeded from ``base_result``.
+    kernel is built per sweep seeded from ``base_result``.  ``cache``
+    serves the outages it holds for this content and these limits and
+    stores the rest once computed; a sweep it serves whole computes no
+    bridges and builds no kernel.  Outcomes come back in ``branch_ids``
+    order either way.
     """
     start = time.perf_counter()
     if base_result is None and kernel is not None:
@@ -109,18 +124,25 @@ def run_n_minus_1(
         )
 
     candidates = branch_ids if branch_ids is not None else net.in_service_branch_ids()
-    bridges = gridgraph.bridge_branches(net)
-
-    outcomes = _sweep(
-        net, candidates, bridges, base, vmin, vmax, overload_threshold, kernel
+    limits = {"vmin": vmin, "vmax": vmax, "overload_threshold": overload_threshold}
+    found, missing = (
+        ({}, candidates) if cache is None else cache.lookup_sweep(net, candidates, **limits)
     )
+    if missing:
+        bridges = gridgraph.bridge_branches(net)
+        fresh = _sweep(net, missing, bridges, base, vmin, vmax, overload_threshold, kernel)
+        if cache is not None:
+            cache.put_many(net, fresh, **limits)
+        found.update(zip(missing, fresh))
     return NMinus1Report(
         case_name=net.metadata.case_name,
         base=base,
-        outcomes=outcomes,
+        outcomes=[found[b] for b in candidates],
         runtime_s=time.perf_counter() - start,
         vmin=vmin,
         vmax=vmax,
+        cache_hits=len(candidates) - len(missing),
+        cache_misses=len(missing),
     )
 
 

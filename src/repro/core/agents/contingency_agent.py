@@ -3,11 +3,11 @@
 Tools follow the paper's Appendix B.3.2 (``solve_base_case``,
 ``run_n1_contingency_analysis``, ``analyze_specific_contingency``,
 ``get_contingency_status``).  The sweep consults the shared composite-key
-cache first (case + content hash + outage), computes only the missing
-outages, and deposits a validated ``ContingencyAnalysisResult`` that the
-narration layer quotes.  Ranking emphasis (``weights_profile``) is a tool
-argument so different model profiles can rank with different evidence
-weights — the mechanism behind Table 1's divergent row.
+cache first (case + content hash + outage + limits), computes only the
+missing outages, and deposits a validated ``ContingencyAnalysisResult``
+that the narration layer quotes.  Ranking emphasis (``weights_profile``)
+is a tool argument so different model profiles can rank with different
+evidence weights — the mechanism behind Table 1's divergent row.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pydantic import BaseModel, Field
 from ...contingency import (
     BALANCED_WEIGHTS,
     THERMAL_WEIGHTS,
-    NMinus1Report,
     analyze_single_outage,
     rank_critical_elements,
     run_n_minus_1,
@@ -45,6 +44,9 @@ Never fabricate numbers; anchor every metric to structured solver outputs.
 Be professional, accurate, and focus on system reliability and security."""
 
 _WEIGHTS = {"balanced": BALANCED_WEIGHTS, "thermal": THERMAL_WEIGHTS}
+
+#: The limits ``analyze_specific_contingency`` judges one outage by.
+_SPECIFIC_LIMITS = {"vmin": 0.94, "vmax": 1.06, "overload_threshold": 100.0}
 
 
 class BaseCaseArgs(BaseModel):
@@ -127,32 +129,14 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
             )
         if not context.base_pf_fresh():
             solve_base_case(context.case_name)
-        t0 = time.perf_counter()
-
-        cache = context.contingency_cache
-        candidates = net.in_service_branch_ids()
-        cached, missing = cache.lookup_sweep(net, candidates)
-        fresh_outcomes = []
-        if missing:
-            report = run_n_minus_1(
-                net,
-                branch_ids=missing,
-                overload_threshold=overload_threshold,
-                base_result=context.base_pf,
-            )
-            fresh_outcomes = report.outcomes
-            cache.put_many(net, fresh_outcomes)
-        outcomes = sorted(
-            [*cached.values(), *fresh_outcomes], key=lambda o: o.branch_id
-        )
-        merged = NMinus1Report(
-            case_name=context.case_name,
-            base=context.base_pf,
-            outcomes=outcomes,
-            runtime_s=time.perf_counter() - t0,
+        report = run_n_minus_1(
+            net,
+            overload_threshold=overload_threshold,
+            base_result=context.base_pf,
+            cache=context.contingency_cache,
         )
         ranked = rank_critical_elements(
-            merged,
+            report,
             top_n=top_n,
             weights=_WEIGHTS[weights_profile],
             metric=ranking_metric,
@@ -165,8 +149,8 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
                 if context.acopf_fresh()
                 else None
             ),
-            n_contingencies=merged.n_contingencies,
-            n_violations=merged.n_violations,
+            n_contingencies=report.n_contingencies,
+            n_violations=report.n_violations,
             max_overload_percent=ranked.max_overload_percent,
             critical=[
                 ContingencyRecord(
@@ -194,9 +178,9 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
             recurring_bottlenecks=ranked.recurring_bottlenecks,
             weights_profile=weights_profile,
             overload_threshold=overload_threshold,
-            runtime_s=merged.runtime_s,
-            cache_hits=len(cached),
-            cache_misses=len(fresh_outcomes),
+            runtime_s=report.runtime_s,
+            cache_hits=report.cache_hits,
+            cache_misses=report.cache_misses,
         )
         context.deposit_ca(result)
         context.record_provenance(
@@ -205,7 +189,7 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
             ok=True,
             duration_s=result.runtime_s,
             weights_profile=weights_profile,
-            cache_hits=len(cached),
+            cache_hits=report.cache_hits,
         )
         payload = result.model_dump()
         payload["critical"] = payload["critical"][:top_n]
@@ -231,13 +215,13 @@ def build_ca_registry(context: AgentContext) -> ToolRegistry:
             solve_base_case(context.case_name)
 
         cache = context.contingency_cache
-        outcome = cache.get(net, branch_id)
+        outcome = cache.get(net, branch_id, **_SPECIFIC_LIMITS)
         if outcome is None:
             v_base = (
                 context.base_pf.extras.get("v_complex") if context.base_pf else None
             )
-            outcome = analyze_single_outage(net, branch_id, v_base=v_base)
-            cache.put(net, outcome)
+            outcome = analyze_single_outage(net, branch_id, v_base=v_base, **_SPECIFIC_LIMITS)
+            cache.put(net, outcome, **_SPECIFIC_LIMITS)
         return {
             "case_name": context.case_name,
             "branch_id": outcome.branch_id,

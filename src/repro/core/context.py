@@ -32,6 +32,7 @@ from .schemas import (
     PowerSystemModel,
     ProvenanceRecord,
 )
+from .tools import ToolError
 
 
 @dataclass
@@ -63,10 +64,18 @@ class AgentContext:
         return self.network.metadata.case_name if self.network else ""
 
     def activate_case(self, name: str) -> Network:
-        """Load a case, resetting per-case artefacts if the case changes."""
+        """Load a case, resetting per-case artefacts if the case changes.
+
+        Every agent loads cases here, so an unknown name becomes one
+        :class:`~repro.core.tools.ToolError` listing the available cases.
+        """
         if self.network is not None and self.case_name == name:
             return self.network
-        self.network = load_case(name)
+        try:
+            network = load_case(name)
+        except KeyError as exc:
+            raise ToolError(exc.args[0]) from exc
+        self.network = network
         self.acopf_solution = None
         self.acopf_raw = None
         self.acopf_version = -1

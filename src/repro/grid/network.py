@@ -10,18 +10,21 @@ Two layers on purpose:
   :meth:`Network.admittances` the ``(Ybus, Yf, Yt)`` operators built on
   it.  Both live in one snapshot cache that every mutation clears, with
   the per-load table scenario replays start from
-  (:meth:`Network.load_table`), so the solvers never touch Python-object
-  component lists in their hot loops.  One edit is cheaper: taking a
-  single branch out of a network whose snapshot is complete *derives*
-  the outage snapshot from it — delete the branch's rows, patch four
-  Ybus entries — bit for bit what a rebuild gives, and switching the
-  branch back in restores the parent.  A contingency sweep therefore
-  pays one full build, not one per outage.
+  (:meth:`Network.load_table`) and the content digest cache keys use
+  (:meth:`Network.content_hash`), so the solvers never touch
+  Python-object component lists in their hot loops.  One edit is
+  cheaper: taking a single branch out of a network whose snapshot is
+  complete *derives* the outage snapshot from it — delete the branch's
+  rows, patch four Ybus entries — bit for bit what a rebuild gives, and
+  switching the branch back in restores the parent, digest included.  A
+  contingency sweep therefore pays one full build, not one per outage.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,19 +141,21 @@ class NetworkArrays:
 class _Snapshot:
     """The compiled state of one network version.
 
-    ``arrays``, ``adm`` and ``loads`` (the per-load table of
-    :meth:`Network.load_table`) fill lazily.  A snapshot with a
+    ``arrays``, ``adm``, ``loads`` (the per-load table of
+    :meth:`Network.load_table`) and ``digest`` (of
+    :meth:`Network.content_hash`) fill lazily.  A snapshot with a
     ``parent`` is that parent with branch ``outage`` switched out: it
     derives ``arrays`` and ``adm`` from the parent instead of rebuilding
-    them.
+    them, and computes its own digest.
     """
 
-    __slots__ = ("arrays", "adm", "loads", "parent", "outage")
+    __slots__ = ("arrays", "adm", "loads", "digest", "parent", "outage")
 
     def __init__(self, parent: "_Snapshot | None" = None, outage: int = -1) -> None:
         self.arrays: NetworkArrays | None = None
         self.adm: _ybus.AdmittanceMatrices | None = None
         self.loads: tuple[np.ndarray, ...] | None = None
+        self.digest: str | None = None
         self.parent = parent
         self.outage = outage
 
@@ -194,15 +199,11 @@ class Network:
         # zonal studies meaningful while letting importers or operators
         # attach real labels via set_bus_zones.
         self._bus_zones: dict[int, str] = {}
-        # Compiled arrays and admittances of the current version (None:
-        # nothing compiled since the last mutation).  Repeated solves of
-        # an unmodified network — recovery-ladder rungs, warm-started
-        # ensembles, N-1 base solves — share one build.
+        # Compiled arrays, admittances and digest of the current version
+        # (None: nothing compiled since the last mutation).  Repeated
+        # solves of an unmodified network — recovery-ladder rungs,
+        # warm-started ensembles, N-1 base solves — share one build.
         self._snapshot: _Snapshot | None = None
-        # (version, digest) memo maintained by contingency.cache — cleared
-        # on every mutation so hot cache-lookup loops only re-serialise the
-        # network when its content can actually have changed.
-        self._content_hash_memo: tuple[int, str] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -314,7 +315,8 @@ class Network:
         Partial mappings are allowed: unlabelled buses keep the
         contiguous-band default.  Labels also mirror into each
         :class:`~repro.grid.components.Bus`'s ``zone`` field (as the
-        label's ordinal) so array-level consumers see the same grouping.
+        label's ordinal) so array-level consumers see the same grouping;
+        that field is exported, so the edit counts as a mutation.
         """
         clean: dict[int, str] = {}
         for bus, label in zones.items():
@@ -330,6 +332,7 @@ class Network:
             label = clean[bus]
             ordinal = ordinals.setdefault(label, len(ordinals) + 1)
             self.buses[bus].zone = ordinal
+        self.touch()
 
     def bus_zone(self, bus: int, n_default: int = DEFAULT_ZONE_BANDS) -> str:
         """Feeder label for ``bus``: explicit if set, banded otherwise.
@@ -377,7 +380,6 @@ class Network:
         """Invalidate compiled views after an out-of-band component edit."""
         self._version += 1
         self._snapshot = None
-        self._content_hash_memo = None
 
     def set_load(self, bus: int, pd_mw: float, qd_mvar: float | None = None) -> Load:
         """Set the total load at ``bus``, creating a load if none exists.
@@ -516,6 +518,25 @@ class Network:
                 column.flags.writeable = False
             snap.loads = table
         return snap.loads
+
+    def content_hash(self) -> str:
+        """Stable digest of everything a solve can depend on.
+
+        The first 16 hex digits of the SHA-256 of the network's MATPOWER
+        export (loads, topology, dispatch, limits) as canonical JSON.
+        Serialising dominates its cost, so it is computed once per
+        version, like :meth:`compile`; direct component edits that
+        bypass this API must call :meth:`touch`.
+        """
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = _Snapshot()
+        if snap.digest is None:
+            from . import io
+
+            blob = json.dumps(io.to_matpower(self), sort_keys=True, separators=(",", ":"))
+            snap.digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return snap.digest
 
     def _build_arrays(self) -> NetworkArrays:
         nb = self.n_bus

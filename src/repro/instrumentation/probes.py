@@ -27,7 +27,7 @@ def record_fallbacks(span, path: str, reasons: Mapping[str, int]) -> None:
 
     ``reasons`` maps each named reason (``disconnected-base``,
     ``base-diverged``, ``build-error``, ``islanded``, ``fd-stalled``,
-    ``polish-diverged``) to its row count.  Every row lands in
+    ``polish-diverged``, ``not-in-service``) to its row count.  Every row lands in
     ``gridmind_fastpath_fallbacks_total{path,reason}``; a recording
     ``span`` also accumulates them under its ``fallbacks`` tag.
     """

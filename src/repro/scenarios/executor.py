@@ -12,9 +12,11 @@ This module owns dispatch geometry: :func:`default_chunk_size` and
 how many chunks may be in flight, :func:`iter_chunks` draws the chunks,
 and :func:`_execute_chunk` evaluates one inside a worker.
 
-Worker-side state is content-addressed.  Each worker process keeps a
-small LRU of :class:`~repro.scenarios.runner._WorkerState` instances
-keyed by ``(network content hash, study config)``; a chunk task carries
+Worker-side state is content-addressed.  Each worker process keeps up
+to four :class:`~repro.scenarios.runner._WorkerState` instances keyed by
+``(network content hash, study config)``, under the shared eviction rule
+of :class:`~repro.cache.BoundedStore` (a fifth study drops all four, not
+just the oldest); a chunk task carries
 the pickled base network, but a worker unpickles it only the first time
 it sees that study key — subsequent chunks of the same study (and
 re-runs of an identical study) reuse the resident state, including its
@@ -43,13 +45,13 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..contingency.cache import network_content_hash
+from ..cache import BoundedStore
 from ..grid.network import Network
 from ..instrumentation.metrics import (
     MetricsRegistry,
@@ -161,11 +163,9 @@ def _execute_chunk(
     )
 
 
-#: Resident per-study states, LRU-evicted.  Small cap: a state holds a
-#: full network copy plus factor/contingency caches.
-_STATE_CAP = 4
-
-_STATES: OrderedDict[str, _WorkerState] = OrderedDict()
+#: Resident per-study states.  Small cap: a state holds a full network
+#: copy plus kernel, factor and contingency caches.
+_STATES: BoundedStore[str, _WorkerState] = BoundedStore(4)
 
 
 def _run_shared_chunk(
@@ -188,13 +188,7 @@ def _run_shared_chunk(
 
     state = _STATES.get(study_key)
     if state is None:
-        base = pickle.loads(base_blob)
-        state = _WorkerState(base, config)
-        _STATES[study_key] = state
-        while len(_STATES) > _STATE_CAP:
-            _STATES.popitem(last=False)
-    else:
-        _STATES.move_to_end(study_key)
+        state = _STATES.put(study_key, _WorkerState(pickle.loads(base_blob), config))
     return _execute_chunk(state, scenarios, trace_ctx, collect_metrics)
 
 
@@ -206,7 +200,7 @@ def _run_shared_chunk(
 def study_state_key(base: Network, config: StudyConfig) -> str:
     """Content-hash key for a (base network, study config) pair."""
     return hashlib.blake2b(
-        f"{network_content_hash(base)}|{config!r}".encode("utf-8"),
+        f"{base.content_hash()}|{config!r}".encode("utf-8"),
         digest_size=8,
     ).hexdigest()
 

@@ -15,8 +15,11 @@ every scenario it processes:
 * the compiled DC and AC kernels and PTDF/LODF sensitivity factors, keyed
   by an electrical-topology digest (load-only perturbations reuse one
   factorisation for the whole ensemble), and
-* the composite-key contingency cache, so identical (content, outage)
-  evaluations are never repeated within a worker.
+* the composite-key contingency cache, so identical (content, outage,
+  limits) evaluations are never repeated within a worker.
+
+Every one of these caches evicts by the rule of
+:class:`~repro.cache.BoundedStore`.
 
 Chunks, not scenarios, are the worker's unit of work, and
 :meth:`_WorkerState.run_chunk` is the one seam where the fast paths
@@ -58,13 +61,14 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from ..cache import BoundedStore
 from ..instrumentation.accounting import record_chunk, record_study
 from ..instrumentation.metrics import ITERATION_BUCKETS, get_metrics
 from ..instrumentation.probes import record_fallbacks
 from ..instrumentation.trace import get_tracer
 from ..contingency.cache import ContingencyCache
 from ..contingency.lodf import compute_factors
-from ..contingency.nminus1 import NMinus1Report, run_n_minus_1
+from ..contingency.nminus1 import run_n_minus_1
 from ..contingency.ranking import rank_critical_elements
 from ..contingency.screening import screen_dc, screen_dc_many
 from ..grid import graph as gridgraph
@@ -378,32 +382,25 @@ def _replay(
     return results, live, values
 
 
-class TopologyCache:
-    """Objects built once per electrical topology, capped and cleared.
+class TopologyCache(BoundedStore[bytes, object]):
+    """Objects built once per electrical topology, under the shared
+    eviction rule of :class:`~repro.cache.BoundedStore`.
 
     Keyed on :func:`~repro.powerflow.batch.topology_digest`, which covers
     everything a factorization depends on but *not* loads — so a whole
     load-perturbation ensemble maps onto one entry.  Outage ensembles
-    mint a new digest per scenario, so past ``cap`` entries the cache is
-    simply dropped (reuse is an optimisation, not state).
+    mint a new digest per scenario, so they are what fills it.
     """
 
     def __init__(self, cap: int, build: Callable[[Network], object]) -> None:
-        self.cap = cap
+        super().__init__(cap)
         self.build = build
-        self._entries: dict[bytes, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, net: Network):
+        """The object built for ``net``'s topology, built on a miss."""
         key = topology_digest(net.compile())
-        value = self._entries.get(key)
-        if value is None:
-            if len(self._entries) >= self.cap:
-                self._entries.clear()
-            value = self._entries[key] = self.build(net)
-        return value
+        value = super().get(key)
+        return value if value is not None else self.put(key, self.build(net))
 
 
 class _FastPath(NamedTuple):
@@ -685,14 +682,15 @@ class _WorkerState:
         Rows it hands back (islanded, stalled) rerun through
         :meth:`run_scenario`, so their records are the scalar records
         byte for byte; so do rows naming a branch the base does not have
-        in service.
+        in service, counted as ``not-in-service``.
         """
         results: list[ScenarioResult | None] = [None] * len(scenarios)
         in_service = set(kernel.arr.branch_ids.tolist())
         sets = [_branch_outages(s) for s in scenarios]
         live = [i for i, ids in enumerate(sets) if ids <= in_service]
+        reasons = Counter({"not-in-service": len(scenarios) - len(live)})
         if not live:
-            return results, {}
+            return results, reasons
         sol = kernel.solve_outages([sets[i] for i in live])
         for i, row in zip(live, sol.rows):
             if row is not None:
@@ -703,7 +701,8 @@ class _WorkerState:
                 "gridmind_ac_outage_solves_total",
                 "Branch-outage rows solved through the compensated AC kernel",
             ).inc(solved, path="study")
-        return results, Counter(r for r in sol.reasons if r is not None)
+        reasons.update(r for r in sol.reasons if r is not None)
+        return results, reasons
 
     # ------------------------------------------------------------------
     def run_scenario(self, scenario: Scenario, **hints) -> ScenarioResult:
@@ -860,30 +859,20 @@ class _WorkerState:
             | set(int(b) for b in estimate.islanding)
         )
 
-        # One content hash for the whole sweep (lookup + put), then AC
-        # verification only for the outages this worker has not seen.
-        cached, missing = self.ca_cache.lookup_sweep(net, candidates)
-        fresh = []
-        if missing:
-            fresh = run_n_minus_1(
-                net,
-                branch_ids=missing,
-                base_result=base,
-                vmin=cfg.vmin,
-                vmax=cfg.vmax,
-                overload_threshold=cfg.overload_threshold,
-            ).outcomes
-            self.ca_cache.put_many(net, fresh)
-        outcomes = sorted([*cached.values(), *fresh], key=lambda o: o.branch_id)
-
-        report = NMinus1Report(
-            case_name=net.name, base=base, outcomes=outcomes,
-            runtime_s=0.0, vmin=cfg.vmin, vmax=cfg.vmax,
+        # AC verification only for the outages this worker has not seen.
+        report = run_n_minus_1(
+            net,
+            branch_ids=candidates,
+            base_result=base,
+            vmin=cfg.vmin,
+            vmax=cfg.vmax,
+            overload_threshold=cfg.overload_threshold,
+            cache=self.ca_cache,
         )
         ranked = rank_critical_elements(report, top_n=cfg.top_n)
 
         post_overloads = sorted(
-            {int(b) for o in outcomes if o.converged for b, _pct in o.overloads}
+            {int(b) for o in report.outcomes if o.converged for b, _pct in o.overloads}
         )
         return ScenarioResult(
             name=scenario.name,

@@ -91,7 +91,6 @@ class GridMindService:
         store_dir: str | None = None,
         max_sessions: int = 128,
         trace: bool = False,
-        retries: int = 0,
         health: bool = True,
         health_rules: list[HealthRule] | None = None,
         sample_interval_s: float = 5.0,
@@ -113,7 +112,7 @@ class GridMindService:
         # the only thread alive, so workers fork before session turns
         # start running on to_thread workers — and the pool is warm for
         # the first study.
-        self.executor = StudyExecutor(max_workers=max_workers, retries=retries).start()
+        self.executor = StudyExecutor(max_workers=max_workers).start()
         self.max_sessions = max_sessions
         self._slots: dict[str, _SessionSlot] = {}
         self._closed = False

@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..contingency.cache import network_content_hash
 from ..grid.network import Network
 from ..instrumentation.metrics import get_metrics
 from ..scenarios.aggregate import (
@@ -142,7 +141,7 @@ class ResultStore:
     def key_for(
         self, base: Network, config: StudyConfig, scenarios: list[Scenario]
     ) -> str:
-        return f"{network_content_hash(base)}-{spec_hash(config, scenarios)}"
+        return f"{base.content_hash()}-{spec_hash(config, scenarios)}"
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -207,7 +206,7 @@ class ResultStore:
                 f"study ran {study.n_scenarios} — pass the same re-iterable "
                 "family (a ScenarioStream or list), not a consumed iterator"
             )
-        net_hash = network_content_hash(base)
+        net_hash = base.content_hash()
         sp_hash = spec_hash(config, scenarios)
         key = f"{net_hash}-{sp_hash}"
         meta = StoredStudyMeta(

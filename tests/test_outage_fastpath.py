@@ -395,15 +395,21 @@ class TestOutageStudies:
         # the scalar loop.
         assert fresh_metrics.counter("gridmind_scenarios_total").total() == len(scns)
         # Each group span carries its own handbacks: none from the one
-        # injection row, the islanding bridge from the five outage rows.
+        # injection row; from the five outage rows the islanding bridge
+        # and the two rows naming a branch the base lacks.  Every row
+        # handed back is counted under a reason.
         groups = sorted(
             (s for s in tracer.spans() if s.name == "chunk.ac_batch"),
             key=lambda s: s.tags["n_scenarios"],
         )
         assert [s.tags["n_scenarios"] for s in groups] == [1, 5]
         assert "fallbacks" not in groups[0].tags
-        assert groups[1].tags["fallbacks"] == {"islanded": 1}
+        assert groups[1].tags["fallbacks"] == {"islanded": 1, "not-in-service": 2}
+        scalar = {s.tags["scenario"] for s in tracer.spans() if s.name == "scenario.run"}
+        assert scalar - {"gen"} == {"missing", "already-out", "bridge"}
+        assert sum(groups[1].tags["fallbacks"].values()) == 3
         assert _fallbacks(fresh_metrics, path="outage", reason="islanded") == 1
+        assert _fallbacks(fresh_metrics, path="outage", reason="not-in-service") == 2
         cold = BatchStudyRunner(
             StudyConfig(analysis="powerflow", ac_mode="cold"),
             chunk_size=len(scns),

@@ -134,7 +134,7 @@ class TestCache:
         cache = ContingencyCache()
         cache.put(case30, analyze_single_outage(case30, 1))
         cache.clear()
-        assert cache.size == 0
+        assert len(cache) == 0
         assert cache.hits == 0
 
     def test_full_cache_drops_every_entry(self, case30):
@@ -148,17 +148,17 @@ class TestCache:
 
         cache = ContingencyCache()
         cache.put_many(case30, outcomes(range(cap)))
-        assert cache.size == cap
+        assert len(cache) == cap
         assert cache.get(case30, 0) is not None
         # A put that finds the cache full drops every entry first.
         cache.put(case30, outcomes([cap])[0])
-        assert cache.size == 1
+        assert len(cache) == 1
         assert cache.get(case30, 0) is None
         assert cache.get(case30, cap).branch_id == cap
         cache.put_many(case30, outcomes(range(cap - 1)))
-        assert cache.size == cap
+        assert len(cache) == cap
         cache.put_many(case30, outcomes([cap + 1, cap + 2]))
-        assert cache.size == 2
+        assert len(cache) == 2
         # The drop is not a reset: hit and miss counts keep running.
         assert (cache.hits, cache.misses) == (2, 1)
 
@@ -167,32 +167,32 @@ class TestContentHashMemo:
     """The digest is memoised behind the network's mutation counter."""
 
     def test_memo_skips_reserialization(self, case30, monkeypatch):
-        import repro.contingency.cache as cache_mod
+        import repro.grid.io as io_mod
 
         calls = {"n": 0}
-        real = cache_mod.to_matpower
+        real = io_mod.to_matpower
 
         def counting(net):
             calls["n"] += 1
             return real(net)
 
-        monkeypatch.setattr(cache_mod, "to_matpower", counting)
+        monkeypatch.setattr(io_mod, "to_matpower", counting)
         first = network_content_hash(case30)
         for _ in range(5):
             assert network_content_hash(case30) == first
         assert calls["n"] == 1
 
     def test_memo_invalidated_by_touch(self, case30, monkeypatch):
-        import repro.contingency.cache as cache_mod
+        import repro.grid.io as io_mod
 
         calls = {"n": 0}
-        real = cache_mod.to_matpower
+        real = io_mod.to_matpower
 
         def counting(net):
             calls["n"] += 1
             return real(net)
 
-        monkeypatch.setattr(cache_mod, "to_matpower", counting)
+        monkeypatch.setattr(io_mod, "to_matpower", counting)
         before = network_content_hash(case30)
         case30.set_load(3, 55.0)
         after = network_content_hash(case30)
@@ -209,16 +209,16 @@ class TestContentHashMemo:
         assert network_content_hash(case30) == a
 
     def test_sweep_lookup_single_hash(self, case30, monkeypatch):
-        import repro.contingency.cache as cache_mod
+        import repro.grid.io as io_mod
 
         calls = {"n": 0}
-        real = cache_mod.to_matpower
+        real = io_mod.to_matpower
 
         def counting(net):
             calls["n"] += 1
             return real(net)
 
-        monkeypatch.setattr(cache_mod, "to_matpower", counting)
+        monkeypatch.setattr(io_mod, "to_matpower", counting)
         cache = ContingencyCache()
         cache.lookup_sweep(case30, list(range(20)))
         cache.lookup_sweep(case30, list(range(20)))
