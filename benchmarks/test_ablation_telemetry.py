@@ -39,7 +39,7 @@ from _report import emit, fmt_row
 
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
-from repro.telemetry import DeviceFleet, FleetSpec, run_watch
+from repro.telemetry import DeviceFleet, FleetSpec, WatchRequest, run_watch
 
 CASE = "ieee14"
 BASE_DEVICES = int(os.environ.get("GRIDMIND_E17_DEVICES", "100"))
@@ -64,10 +64,13 @@ def _watch_once(net, n_devices: int, window: int) -> dict:
     try:
         return run_watch(
             net,
-            n_devices=n_devices,
-            n_ticks=N_TICKS,
-            window_ticks=window,
-            seed=SEED,
+            WatchRequest(
+                case_name=net.name,
+                n_devices=n_devices,
+                n_ticks=N_TICKS,
+                window_ticks=window,
+                seed=SEED,
+            ),
         )
     finally:
         set_metrics(previous)

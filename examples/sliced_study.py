@@ -67,7 +67,7 @@ def main() -> None:
 
     print("\nNarrated (exactly what the study agent replies):\n")
     payload = study.to_dict(max_scenarios=3)
-    payload["study_kind"] = "daily_profile"
+    payload["study_kind"] = "profile"
     print(narrate_study(payload, verbosity=1))
 
     print()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import load_case
 from repro.llm.narration import narrate_watch, narrate_watch_window
-from repro.telemetry import AnomalySpec, run_watch
+from repro.telemetry import WatchRequest, run_watch
 
 N_WINDOWS = 6
 WINDOW_TICKS = 4
@@ -30,15 +30,17 @@ def watch_once(net, *, live: bool = False) -> dict:
         if live:
             print(narrate_watch_window(update, verbosity=1))
 
-    return run_watch(
-        net,
+    request = WatchRequest(
+        case_name=net.name,
         n_devices=120,
         n_ticks=N_WINDOWS * WINDOW_TICKS,
         window_ticks=WINDOW_TICKS,
         seed=7,
-        anomaly=AnomalySpec(start_tick=9, duration_ticks=3, magnitude=2.5),
-        on_window=on_window,
+        anomaly_tick=9,
+        anomaly_duration=3,
+        anomaly_magnitude=2.5,
     )
+    return run_watch(net, request, on_window=on_window)
 
 
 def main() -> None:

@@ -16,7 +16,11 @@ stack makes:
   device prefix, and so does the same watch run on a 2-worker
   ``StudyExecutor``,
 * a dropout (devices that stop reporting) flags its window too,
-* ``gridmind watch --json`` exits 0 and its payload round-trips.
+* ``gridmind watch --json`` with an injected anomaly exits 0, its
+  payload round-trips, and its digest equals the digests of
+  ``GridMindService.watch`` and of the study agent's ``watch_telemetry``
+  tool for the same request: every front end builds one
+  ``WatchRequest`` and runs it through ``run_watch``.
 
 Exits nonzero on the first violated invariant.
 
@@ -27,16 +31,20 @@ Usage::
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import io
 import json
 import sys
 
+from repro.core.agents.study_agent import build_study_registry
 from repro.core.cli import main as cli_main
+from repro.core.context import AgentContext
 from repro.grid.cases import load_case
 from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.scenarios.executor import StudyExecutor
-from repro.telemetry import AnomalySpec, DeviceFleet, FleetSpec, run_watch
+from repro.service import GridMindService
+from repro.telemetry import DeviceFleet, FleetSpec, WatchRequest, run_watch
 
 N_TICKS = 16
 WINDOW = 4
@@ -51,15 +59,23 @@ def check(condition: bool, message: str) -> None:
 
 def watch_once(net, n_devices: int, kind: str = "load_spike", executor=None) -> dict:
     set_metrics(MetricsRegistry())
-    return run_watch(
-        net,
+    request = WatchRequest(
+        case_name=net.name,
         n_devices=n_devices,
         n_ticks=N_TICKS,
         window_ticks=WINDOW,
         seed=13,
-        anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind=kind, magnitude=2.5),
-        executor=executor,
+        anomaly_tick=5,
+        anomaly_duration=3,
+        anomaly_kind=kind,
+        anomaly_magnitude=2.5,
     )
+    return run_watch(net, request, executor=executor)
+
+
+async def service_watch(request: WatchRequest) -> str:
+    async with GridMindService(max_workers=1, health=False) as service:
+        return (await service.watch(request)).digest
 
 
 def main() -> int:
@@ -139,16 +155,32 @@ def main() -> int:
         "shared device prefix emits identical frames at both fleet sizes",
     )
 
+    # One anomaly watch from the three front ends: the CLI, the service
+    # and the study agent's tool (its anomaly takes the request defaults).
     set_metrics(MetricsRegistry())
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli_main(
             ["watch", "--case", "ieee14", "--devices", str(n_devices),
-             "--ticks", "4", "--window", "2", "--seed", "13", "--json"]
+             "--ticks", "8", "--window", "4", "--seed", "13",
+             "--anomaly-tick", "1", "--json"]
         )
     check(code == 0, "gridmind watch --json exits 0")
     doc = json.loads(stdout.getvalue())
     check(doc["n_windows"] == 2 and doc["digest"], "CLI JSON payload round-trips")
+    served = asyncio.run(service_watch(WatchRequest(
+        case_name="ieee14", n_devices=n_devices, n_ticks=8, window_ticks=4,
+        seed=13, anomaly_tick=1,
+    )))
+    tool = json.loads(build_study_registry(AgentContext()).call(
+        "watch_telemetry",
+        {"case_name": "ieee14", "n_devices": n_devices, "n_windows": 2,
+         "window_ticks": 4, "seed": 13, "anomaly_tick": 1},
+    ))
+    check(
+        doc["digest"] == served == tool["digest"],
+        f"CLI, service and agent anomaly watches share one digest ({doc['digest']})",
+    )
 
     print("\nwatch smoke: all checks passed")
     return 0

@@ -3,11 +3,16 @@
 Where the ACOPF and CA agents answer questions about *one* operating
 point, the study agent answers questions about *families* of them:
 "sweep load 80–120 %", "run a 200-draw Monte Carlo load study", "which
-contingencies stay critical across the day".  Each tool expands a
-compact description into scenarios via :mod:`repro.scenarios.generators`,
-executes them with the :class:`~repro.scenarios.runner.BatchStudyRunner`
-(process-parallel when asked), and deposits the aggregated summary into
-the shared context for follow-up questions and narration.
+contingencies stay critical across the day".  Each family tool maps its
+argument schema onto one :class:`~repro.scenarios.request.StudyRequest`
+and runs it through :func:`~repro.scenarios.request.run_study_request`,
+the step the service and the ``gridmind study`` CLI run too, so the same
+parameters give the same scenarios, store key and aggregate from every
+front end; the watch tool likewise builds a
+:class:`~repro.telemetry.watch.WatchRequest` for
+:func:`~repro.telemetry.watch.run_watch`.  Whatever the request or its
+expansion rejects comes back as a tool error.  The aggregated summary
+lands in the shared context for follow-up questions and narration.
 
 Service-layer wiring (both optional, both duck-typed so this module
 never imports :mod:`repro.service`):
@@ -30,16 +35,7 @@ import time
 from pydantic import BaseModel, Field
 
 from ...llm.base import LLMBackend
-from ...scenarios import (
-    BatchStudyRunner,
-    StudyConfig,
-    daily_profile,
-    load_sweep,
-    monte_carlo_ensemble,
-    outage_combinations,
-    resolve_slice_by,
-    uniform_correlation,
-)
+from ...scenarios import StudyRequest, run_study_request
 from ..context import AgentContext
 from ..tools import ToolError, ToolRegistry
 from .base import Agent
@@ -150,14 +146,6 @@ class ProfileStudyArgs(BaseModel):
     slice_by: str = Field(default="", description=_SLICE_BY_DESCRIPTION)
 
 
-def _study_config(**knobs) -> StudyConfig:
-    """The tool call's :class:`StudyConfig`; invalid knobs are tool errors."""
-    try:
-        return StudyConfig(**knobs)
-    except ValueError as exc:
-        raise ToolError(str(exc)) from exc
-
-
 def build_study_registry(
     context: AgentContext, *, executor=None, store=None
 ) -> ToolRegistry:
@@ -173,44 +161,22 @@ def build_study_registry(
     if store is None:
         store = context.result_store
 
-    def _execute(
-        case_name: str,
-        scenarios,
-        analysis: str,
-        n_jobs: int,
-        kind: str,
-        slice_by: str = "",
-        n_zones: int = 0,
-    ) -> dict:
-        # "" infers the family's natural slice dimension ('hour' for
-        # profiles, 'scale' for sweeps, 'hot_zone' for zonal draws),
-        # "none" disables slicing, and anything else names dimensions.
-        config = _study_config(
-            analysis=analysis,
-            slice_by=resolve_slice_by(slice_by or None, kind, n_zones=n_zones),
-        )
+    def _execute(tool: str, n_jobs: int, **fields) -> dict:
+        # One study request per tool call; every invalid knob the request
+        # or its expansion rejects comes back as a tool error.
         t0 = time.perf_counter()
-        net = context.activate_case(case_name)
-        runner = BatchStudyRunner(config, n_jobs=n_jobs, executor=executor)
-        # Results stream through the online reducer chunk by chunk; the
-        # full record list is retained only when a store will persist it.
-        # The no-op callback turns on per-chunk progress accounting, so
-        # the payload (and narration) report the streaming checkpoints.
-        study = runner.run(
-            net, scenarios, progress=lambda _p: None, keep_results=store is not None
-        )
-        payload = study.to_dict(max_scenarios=5)
-        payload["study_kind"] = kind
-        if config.slice_by:
-            payload["slice_by"] = list(config.slice_by)
-        if store is not None:
-            payload["study_key"] = store.put(
-                net, config, scenarios, study, study_kind=kind
+        try:
+            request = StudyRequest(**fields)
+            net = context.activate_case(request.case_name)
+            study, payload = run_study_request(
+                request, net, executor=executor, n_jobs=n_jobs, store=store
             )
+        except ValueError as exc:
+            raise ToolError(str(exc)) from exc
         context.study_summary = payload
         context.record_provenance(
-            f"run_{kind}_study",
-            solver=analysis,
+            tool,
+            solver=request.analysis,
             ok=True,
             duration_s=time.perf_counter() - t0,
             n_scenarios=study.n_scenarios,
@@ -236,12 +202,11 @@ def build_study_registry(
         n_jobs: int = 1,
         slice_by: str = "",
     ) -> dict:
-        if hi_percent < lo_percent:
-            raise ToolError(
-                f"sweep range is inverted: {lo_percent}% .. {hi_percent}%"
-            )
-        scenarios = load_sweep(lo_percent / 100.0, hi_percent / 100.0, steps)
-        return _execute(case_name, scenarios, analysis, n_jobs, "load_sweep", slice_by)
+        return _execute(
+            "run_load_sweep_study", n_jobs, case_name=case_name, kind="sweep",
+            lo_percent=lo_percent, hi_percent=hi_percent, n_scenarios=steps,
+            analysis=analysis, slice_by=slice_by,
+        )
 
     def run_monte_carlo_study(
         case_name: str,
@@ -254,35 +219,11 @@ def build_study_registry(
         n_zones: int = 0,
         rho_percent: float = 0.0,
     ) -> dict:
-        correlation = None
-        if n_zones >= 2:
-            net = context.activate_case(case_name)
-            if n_zones > net.n_bus:
-                raise ToolError(
-                    f"n_zones={n_zones} exceeds {case_name}'s {net.n_bus} "
-                    "buses; every zone must contain at least one bus"
-                )
-            rho = rho_percent / 100.0
-            if rho < -1.0 / (n_zones - 1):
-                raise ToolError(
-                    f"rho {rho:g} is infeasible for {n_zones} zones (the "
-                    f"equicorrelation matrix needs rho >= {-1.0 / (n_zones - 1):.3f})"
-                )
-            correlation = uniform_correlation(n_zones, rho)
-        elif "zone" in slice_by:
-            raise ToolError(
-                "slicing by hot_zone requires zonal correlated draws: set "
-                "n_zones >= 2 (e.g. n_zones=4, rho_percent=60) so each "
-                "scenario is tagged with the zone driving its stress"
-            )
-        scenarios = monte_carlo_ensemble(
-            n=n_scenarios,
-            sigma=sigma_percent / 100.0,
-            seed=seed,
-            correlation=correlation,
-        )
         return _execute(
-            case_name, scenarios, analysis, n_jobs, "monte_carlo", slice_by, n_zones
+            "run_monte_carlo_study", n_jobs, case_name=case_name,
+            kind="monte_carlo", n_scenarios=n_scenarios,
+            sigma_percent=sigma_percent, seed=seed, analysis=analysis,
+            slice_by=slice_by, n_zones=n_zones, rho_percent=rho_percent,
         )
 
     def run_outage_study(
@@ -293,10 +234,10 @@ def build_study_registry(
         n_jobs: int = 1,
         slice_by: str = "",
     ) -> dict:
-        # activate_case is idempotent, so _execute's repeat call is free.
-        net = context.activate_case(case_name)
-        scenarios = outage_combinations(net, depth=depth, limit=limit)
-        payload = _execute(case_name, scenarios, analysis, n_jobs, "outage", slice_by)
+        payload = _execute(
+            "run_outage_study", n_jobs, case_name=case_name, kind="outage",
+            depth=depth, n_scenarios=limit, analysis=analysis, slice_by=slice_by,
+        )
         payload["outage_depth"] = depth
         return payload
 
@@ -309,15 +250,10 @@ def build_study_registry(
         n_jobs: int = 1,
         slice_by: str = "",
     ) -> dict:
-        if peak_percent < trough_percent:
-            raise ToolError(
-                f"profile band is inverted: {trough_percent}% .. {peak_percent}%"
-            )
-        scenarios = daily_profile(
-            steps=steps, trough=trough_percent / 100.0, peak=peak_percent / 100.0
-        )
         return _execute(
-            case_name, scenarios, analysis, n_jobs, "daily_profile", slice_by
+            "run_daily_profile_study", n_jobs, case_name=case_name,
+            kind="profile", n_scenarios=steps, lo_percent=trough_percent,
+            hi_percent=peak_percent, analysis=analysis, slice_by=slice_by,
         )
 
     def watch_telemetry(
@@ -331,24 +267,23 @@ def build_study_registry(
     ) -> dict:
         # Imported lazily: the telemetry layer is optional for agents that
         # never watch a feed, mirroring the service's lazy wiring.
-        from ...telemetry import AnomalySpec, run_watch
+        from ...telemetry import WatchRequest, run_watch
 
-        _study_config(analysis=analysis)  # validate before the watch starts
         t0 = time.perf_counter()
-        net = context.activate_case(case_name)
-        anomaly = None
-        if anomaly_tick >= 0:
-            anomaly = AnomalySpec(start_tick=anomaly_tick, duration_ticks=2)
-        payload = run_watch(
-            net,
-            n_devices=n_devices,
-            n_ticks=n_windows * window_ticks,
-            window_ticks=window_ticks,
-            seed=seed,
-            anomaly=anomaly,
-            analysis=analysis,
-            executor=executor,
-        )
+        try:
+            request = WatchRequest(
+                case_name=case_name,
+                n_devices=n_devices,
+                n_ticks=n_windows * window_ticks,
+                window_ticks=window_ticks,
+                anomaly_tick=anomaly_tick if anomaly_tick >= 0 else None,
+                analysis=analysis,
+                seed=seed,
+            )
+            net = context.activate_case(case_name)
+            payload = run_watch(net, request, executor=executor)
+        except ValueError as exc:
+            raise ToolError(str(exc)) from exc
         context.study_summary = payload
         context.record_provenance(
             "watch_telemetry",

@@ -7,7 +7,9 @@ not available offline; the interaction loop is identical.  Run with::
     gridmind --model claude-4-sonnet --seed 7
 
 The ``study`` subcommand runs declarative scenario studies directly
-against the batch engine (no chat loop).  Studies stream: scenarios
+against the batch engine (no chat loop): its flags build one
+:class:`~repro.scenarios.request.StudyRequest`, run by the same step as
+the service and the study agent.  Studies stream: scenarios
 expand lazily, chunks fold into the online reducer as they complete, and
 ``--progress`` (implied on a TTY) renders live delivery::
 
@@ -33,9 +35,10 @@ session — address dependent turns (run a study, then compare it) to the
 same session, or run separate ``serve`` invocations against one
 ``--store`` directory.
 
-The ``watch`` subcommand streams a simulated telemetry fleet through the
-rolling-window study layer, printing each window's aggregate and alerts
-as it closes::
+The ``watch`` subcommand builds one
+:class:`~repro.telemetry.watch.WatchRequest` from its flags and streams
+the simulated telemetry fleet through ``run_watch``, printing each
+window's aggregate and alerts as it closes::
 
     gridmind watch --case ieee14 --devices 200 --ticks 24 --window 4
     gridmind watch --case ieee14 --anomaly-tick 8 --anomaly-kind load_spike
@@ -107,7 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
             "point with the selected engine."
         ),
     )
-    study.add_argument("--case", required=True, help="case name, e.g. ieee118")
+    # Flags that set a StudyRequest field store under that field's name;
+    # a suppressed default leaves the request's own default in force.
+    study.add_argument(
+        "--case", dest="case_name", metavar="CASE", required=True,
+        help="case name, e.g. ieee118",
+    )
     study.add_argument(
         "--kind",
         choices=("sweep", "monte-carlo", "lhs", "outage", "profile"),
@@ -116,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "-n",
         "--scenarios",
+        dest="n_scenarios",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="N",
         help="scenario count: draws (monte-carlo), steps (sweep/profile), "
         "combination cap (outage)",
@@ -130,20 +139,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="print live per-chunk progress to stderr (implied on a TTY)",
     )
     study.add_argument(
-        "--keep-results",
-        action="store_true",
-        help="materialise every per-scenario record instead of streaming "
-        "(higher memory; the summary is identical either way)",
+        "--lo", dest="lo_percent", metavar="LO", type=float, default=argparse.SUPPRESS,
+        help="band low (profile trough), %% of base; default: the family's band",
     )
-    study.add_argument("--lo", type=float, default=80.0, help="sweep low, %% of base")
-    study.add_argument("--hi", type=float, default=120.0, help="sweep high, %% of base")
     study.add_argument(
-        "--sigma", type=float, default=5.0, help="monte-carlo load std-dev, %%"
+        "--hi", dest="hi_percent", metavar="HI", type=float, default=argparse.SUPPRESS,
+        help="band high (profile peak), %% of base; default: the family's band",
     )
-    study.add_argument("--depth", type=int, default=2, help="outages per scenario")
+    study.add_argument(
+        "--sigma", dest="sigma_percent", metavar="SIGMA", type=float,
+        default=argparse.SUPPRESS,
+        help="monte-carlo load std-dev, %%",
+    )
+    study.add_argument(
+        "--depth", type=int, default=argparse.SUPPRESS, help="outages per scenario"
+    )
     study.add_argument(
         "--slice-by",
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="DIMS",
         help="comma-separated tag dimensions for sliced aggregation "
         "('hour', 'scale', 'zone', ...); default infers the family's "
@@ -151,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--zones",
+        dest="n_zones",
         type=int,
-        default=0,
+        default=argparse.SUPPRESS,
         metavar="Z",
         help="monte-carlo only: draw zonal correlated load factors over "
         "this many contiguous bus zones (0 = independent per-load noise)",
@@ -336,73 +350,79 @@ def build_parser() -> argparse.ArgumentParser:
             "plays the feed against the wall clock for live demos."
         ),
     )
-    watch.add_argument("--case", required=True, help="case name, e.g. ieee14")
+    # As for study: flags store under WatchRequest field names, and a
+    # suppressed default leaves the request's own default in force.
     watch.add_argument(
-        "--devices", type=int, default=200, help="simulated meters/DERs"
+        "--case", dest="case_name", metavar="CASE", required=True,
+        help="case name, e.g. ieee14",
     )
     watch.add_argument(
-        "--ticks", type=int, default=24, help="telemetry ticks to stream"
+        "--devices", dest="n_devices", metavar="N", type=int, default=200,
+        help="simulated meters/DERs",
     )
     watch.add_argument(
-        "--window", type=int, default=4, metavar="TICKS", help="window size"
+        "--ticks", dest="n_ticks", metavar="N", type=int, default=argparse.SUPPRESS,
+        help="telemetry ticks to stream",
+    )
+    watch.add_argument(
+        "--window", dest="window_ticks", type=int, default=argparse.SUPPRESS,
+        metavar="TICKS", help="window size",
     )
     watch.add_argument(
         "--slide",
+        dest="slide_ticks",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="TICKS",
         help="window slide (default: tumbling; must divide --window)",
     )
     watch.add_argument(
         "--interval",
+        dest="interval_s",
         type=float,
-        default=900.0,
+        default=argparse.SUPPRESS,
         metavar="SECONDS",
         help="simulated seconds per tick",
     )
     watch.add_argument(
-        "--sigma", type=float, default=2.0, help="per-device noise std-dev, %%"
+        "--sigma", dest="sigma_percent", metavar="SIGMA", type=float,
+        default=argparse.SUPPRESS,
+        help="per-device noise std-dev, %%",
     )
-    watch.add_argument(
-        "--analysis",
-        choices=ANALYSES,
-        default="powerflow",
-    )
+    watch.add_argument("--analysis", choices=ANALYSES, default=argparse.SUPPRESS)
     watch.add_argument(
         "--anomaly-tick",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="T",
         help="inject an anomaly starting at this tick (default: clean feed)",
     )
     watch.add_argument(
-        "--anomaly-duration", type=int, default=2, metavar="TICKS"
+        "--anomaly-duration", type=int, default=argparse.SUPPRESS, metavar="TICKS"
     )
     watch.add_argument(
-        "--anomaly-kind",
-        choices=ANOMALY_KINDS,
-        default="load_spike",
+        "--anomaly-kind", choices=ANOMALY_KINDS, default=argparse.SUPPRESS
     )
     watch.add_argument(
         "--anomaly-feeder",
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="LABEL",
         help="limit the anomaly to one feeder (e.g. feeder_2)",
     )
     watch.add_argument(
-        "--anomaly-magnitude", type=float, default=1.8, metavar="X"
+        "--anomaly-magnitude", type=float, default=argparse.SUPPRESS, metavar="X"
     )
     watch.add_argument(
         "--pace",
         choices=("simulated", "wall"),
-        default="simulated",
+        default=argparse.SUPPRESS,
         help="'simulated' streams as fast as it folds; 'wall' paces ticks "
         "against the wall clock (interval / speedup per tick)",
     )
     watch.add_argument(
         "--speedup",
         type=float,
-        default=300.0,
+        default=argparse.SUPPRESS,
         help="wall pacing compression factor (with --pace wall)",
     )
     watch.add_argument(
@@ -424,26 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_study_scenarios(args):
-    from ..grid.cases import load_case
-    from ..scenarios import expand_study_kind
+def _request(model, args, **fields):
+    """The request ``model`` a subcommand's flags describe.
 
-    if args.scenarios is not None and args.scenarios < 1:
-        raise ValueError(f"-n/--scenarios must be >= 1, got {args.scenarios}")
-    net = load_case(args.case)
-    scenarios = expand_study_kind(
-        args.kind,
-        net,
-        n_scenarios=args.scenarios,
-        lo_percent=args.lo,
-        hi_percent=args.hi,
-        sigma_percent=args.sigma,
-        seed=args.seed,
-        depth=args.depth,
-        n_zones=args.zones,
-        rho_percent=100.0 * args.rho,
-    )
-    return net, scenarios
+    Flags that set a request field store under its name, so the request
+    (not the parser) owns every default the user left unset.
+    """
+    given = {k: v for k, v in vars(args).items() if k in model.model_fields}
+    return model(**given, **fields)
 
 
 def _print_trace(tracer, stream=None) -> None:
@@ -483,43 +491,30 @@ def _progress_printer(stream):
 
 
 def run_study(args) -> int:
-    """Execute the ``study`` subcommand against the batch engine.
+    """Execute the ``study`` subcommand: one :class:`StudyRequest`, run by
+    the step the service and the study agent run.
 
     The study streams: scenarios expand lazily, completed chunks fold
     into the online reducer, and ``--progress`` (implied on a TTY)
     narrates delivery live instead of waiting for the final table.
     """
-    from contextlib import ExitStack
-
-    from ..scenarios import BatchStudyRunner, StudyConfig, resolve_slice_by
+    from ..grid.cases import load_case
+    from ..scenarios import StudyRequest, run_study_request
 
     progress = None
     if args.progress or _supports_color(sys.stderr):
         progress = _progress_printer(sys.stderr)
-    tracer = None
     try:
-        with ExitStack() as stack:
-            if getattr(args, "trace", False):
-                from ..instrumentation.trace import Tracer, tracing
-
-                tracer = stack.enter_context(tracing(Tracer()))
-            config = StudyConfig(
-                analysis=args.analysis,
-                slice_by=resolve_slice_by(args.slice_by, args.kind, n_zones=args.zones),
-            )
-            net, scenarios = _build_study_scenarios(args)
-            study = BatchStudyRunner(config, n_jobs=args.jobs).run(
-                net, scenarios, progress=progress, keep_results=args.keep_results
-            )
+        request = _request(StudyRequest, args, rho_percent=100.0 * args.rho)
+        study, payload = run_study_request(
+            request, load_case(request.case_name), n_jobs=args.jobs, progress=progress
+        )
     except (KeyError, ValueError) as exc:
         # Domain errors (unknown case, bad ranges) are user input problems:
         # report them like argparse does instead of dumping a traceback.
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmind study: error: {message}", file=sys.stderr)
         return 2
-    if tracer is not None:
-        _print_trace(tracer)
-    payload = study.to_dict()
 
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
@@ -527,7 +522,7 @@ def run_study(args) -> int:
 
     agg = payload["aggregate"]
     print(
-        f"{args.kind} study on {study.case_name}: {study.n_scenarios} scenarios, "
+        f"{request.kind} study on {study.case_name}: {study.n_scenarios} scenarios, "
         f"{study.analysis} analysis, {study.n_jobs} worker(s), "
         f"{study.runtime_s:.2f}s"
     )
@@ -942,10 +937,11 @@ def run_top(args) -> int:
 
 
 def run_watch_cmd(args) -> int:
-    """Execute the ``watch`` subcommand: live windowed telemetry studies."""
+    """Execute the ``watch`` subcommand: one :class:`WatchRequest`, run by
+    the engine the service and the study agent run."""
     from ..grid.cases import load_case
     from ..llm.narration import narrate_watch, narrate_watch_window
-    from ..telemetry import AnomalySpec, run_watch
+    from ..telemetry import WatchRequest, run_watch
 
     verbosity = min(args.verbose, 2)
 
@@ -955,31 +951,8 @@ def run_watch_cmd(args) -> int:
         print(narrate_watch_window(update, verbosity), flush=True)
 
     try:
-        net = load_case(args.case)
-        anomaly = None
-        if args.anomaly_tick is not None:
-            anomaly = AnomalySpec(
-                start_tick=args.anomaly_tick,
-                duration_ticks=args.anomaly_duration,
-                kind=args.anomaly_kind,
-                feeder=args.anomaly_feeder,
-                magnitude=args.anomaly_magnitude,
-            )
-        out = run_watch(
-            net,
-            n_devices=args.devices,
-            n_ticks=args.ticks,
-            window_ticks=args.window,
-            slide_ticks=args.slide,
-            seed=getattr(args, "seed", 0),
-            interval_s=args.interval,
-            sigma=args.sigma / 100.0,
-            anomaly=anomaly,
-            analysis=args.analysis,
-            pace=args.pace,
-            speedup=args.speedup,
-            on_window=on_window,
-        )
+        request = _request(WatchRequest, args)
+        out = run_watch(load_case(request.case_name), request, on_window=on_window)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmind watch: error: {message}", file=sys.stderr)
@@ -996,30 +969,36 @@ def run_watch_cmd(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from contextlib import nullcontext
+
+    from ..instrumentation.trace import Tracer, tracing
+
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "study":
-        return run_study(args)
-    if getattr(args, "command", None) == "serve":
-        return run_serve(args)
-    if getattr(args, "command", None) == "trace":
-        return run_trace(args)
-    if getattr(args, "command", None) == "health":
-        return run_health(args)
-    if getattr(args, "command", None) == "top":
-        return run_top(args)
-    if getattr(args, "command", None) == "watch":
-        return run_watch_cmd(args)
+    command = getattr(args, "command", None)
+    handler = {
+        "serve": run_serve,
+        "trace": run_trace,
+        "health": run_health,
+        "top": run_top,
+        "watch": run_watch_cmd,
+    }.get(command)
+    if handler is not None:
+        return handler(args)
+    # Chat turns and studies share one tracing set-up: --trace records
+    # the run's spans and prints the span tree + hot path to stderr.
+    with tracing(Tracer()) if args.trace else nullcontext() as tracer:
+        code = run_study(args) if command == "study" else _chat(args)
+    if tracer is not None:
+        _print_trace(tracer)
+    return code
+
+
+def _chat(args) -> int:
+    """The conversational REPL (or the ``--ask`` turns, then exit)."""
     color = _supports_color(sys.stdout)
     cyan = _CYAN if color else ""
     dim = _DIM if color else ""
     reset = _RESET if color else ""
-
-    tracer = None
-    if args.trace:
-        from ..instrumentation.trace import Tracer, set_tracer
-
-        tracer = Tracer()
-        set_tracer(tracer)
 
     session = GridMindSession(model=args.model, seed=args.seed)
 
@@ -1039,8 +1018,6 @@ def main(argv: list[str] | None = None) -> int:
         for text in args.ask:
             print(f"> {text}")
             respond(text)
-        if tracer is not None:
-            _print_trace(tracer)
         return 0
 
     print(_BANNER)
@@ -1060,8 +1037,6 @@ def main(argv: list[str] | None = None) -> int:
             break
         respond(text)
 
-    if tracer is not None:
-        _print_trace(tracer)
     summary = session.metrics()
     print(f"{dim}session summary: {summary}{reset}")
     return 0

@@ -99,10 +99,6 @@ class NetworkArrays:
     def pv_buses(self) -> np.ndarray:
         return np.flatnonzero(self.bus_type == int(BusType.PV))
 
-    @property
-    def pq_buses(self) -> np.ndarray:
-        return np.flatnonzero(self.bus_type == int(BusType.PQ))
-
     def gen_connection_matrix(self):
         """Sparse (n_bus, n_gen) incidence matrix Cg with Cg[b, g] = 1."""
         from scipy import sparse
@@ -299,9 +295,6 @@ class Network:
 
     def loads_at_bus(self, bus: int) -> list[Load]:
         return [ld for ld in self.loads if ld.bus == bus]
-
-    def gens_at_bus(self, bus: int) -> list[Generator]:
-        return [g for g in self.gens if g.bus == bus]
 
     def in_service_branch_ids(self) -> list[int]:
         return [i for i, br in enumerate(self.branches) if br.in_service]

@@ -196,15 +196,13 @@ def narrate_slices(slices: dict, verbosity: int) -> list[str]:
     return lines
 
 
+#: One label per study kind (the ``StudyRequest`` vocabulary every
+#: front end records).
 _STUDY_KIND_LABELS = {
-    # Conversational tools tag with the long names, the service API with
-    # the short family names; both narrate identically.
-    "load_sweep": "load sweep",
     "sweep": "load sweep",
     "monte_carlo": "Monte Carlo load",
     "lhs": "Latin-hypercube load",
     "outage": "outage combination",
-    "daily_profile": "daily load-profile",
     "profile": "daily load-profile",
 }
 

@@ -57,10 +57,3 @@ class OPFResult:
         """Branch ids whose loading is within ``slack_percent`` of 100 %."""
         rows = np.flatnonzero(self.loading_percent >= 100.0 - slack_percent)
         return [int(self.branch_ids[r]) for r in rows]
-
-    def dispatch_by_bus(self) -> dict[int, float]:
-        """Aggregate MW dispatch keyed by bus (for narration)."""
-        out: dict[int, float] = {}
-        for row, pg in enumerate(self.pg_mw):
-            out[row] = float(pg)
-        return out

@@ -9,6 +9,9 @@ inspect impacts") made batch-first:
 * :mod:`repro.scenarios.generators` — families (sweep, Monte Carlo, LHS,
   N-2 combinations, daily profile, factorial crosses) expanded lazily
   from compact descriptions,
+* :mod:`repro.scenarios.request` — :class:`StudyRequest`, the one flat
+  description of a family study every front end builds, with
+  :func:`expand_study_kind` and :func:`run_study_request` reading it,
 * :mod:`repro.scenarios.runner` — :class:`StudyConfig`, the one
   validated definition of a study, and :class:`BatchStudyRunner`, which
   runs it with bounded-window streaming dispatch and per-worker cache
@@ -47,11 +50,9 @@ from .aggregate import (
 )
 from .generators import (
     FAMILY_SLICE_TAGS,
-    STUDY_FAMILY_KINDS,
     correlation_transform,
     daily_profile,
     default_slice_by,
-    expand_study_kind,
     factorial,
     latin_hypercube,
     load_sweep,
@@ -60,6 +61,12 @@ from .generators import (
     resolve_slice_by,
     uniform_correlation,
     with_branch_outage,
+)
+from .request import (
+    STUDY_FAMILY_KINDS,
+    StudyRequest,
+    expand_study_kind,
+    run_study_request,
 )
 from .runner import (
     ANALYSES,
@@ -111,6 +118,7 @@ __all__ = [
     "StudyConfig",
     "StudyProgress",
     "StudyReducer",
+    "StudyRequest",
     "StudyResult",
     "UniformLoadScale",
     "ZonalLoadScale",
@@ -128,6 +136,7 @@ __all__ = [
     "outage_combinations",
     "percentile_stats",
     "resolve_slice_by",
+    "run_study_request",
     "slice_key",
     "stream_length",
     "uniform_correlation",

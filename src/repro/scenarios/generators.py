@@ -278,18 +278,13 @@ def with_branch_outage(
     return ScenarioStream(gen, length=source.length, family=source.family)
 
 
-#: Families :func:`expand_study_kind` can build from a flat request.
-STUDY_FAMILY_KINDS = ("sweep", "monte_carlo", "lhs", "outage", "profile")
-
 #: Natural bounded-cardinality slice dimension per family tag schema.
 #: Families without one (Monte Carlo draws, LHS strata, outage pairs are
 #: all per-scenario-distinct) infer no slicing; correlated Monte Carlo
 #: ensembles carry a ``hot_zone`` tag that must be requested explicitly.
 FAMILY_SLICE_TAGS: dict[str, tuple[str, ...]] = {
     "sweep": ("scale",),
-    "load_sweep": ("scale",),
     "profile": ("hour_of_day",),
-    "daily_profile": ("hour_of_day",),
 }
 
 #: Conversational aliases -> canonical scenario-tag names.
@@ -313,7 +308,6 @@ def default_slice_by(kind: str, *, n_zones: int = 0) -> tuple[str, ...]:
     naturally slices by the stress-driving ``hot_zone`` tag; this is the
     one place that rule lives for every front end.
     """
-    kind = kind.replace("-", "_")
     inferred = FAMILY_SLICE_TAGS.get(kind, ())
     if not inferred and kind == "monte_carlo" and n_zones >= 2:
         return ("hot_zone",)
@@ -348,73 +342,6 @@ def resolve_slice_by(spec, kind: str = "", *, n_zones: int = 0) -> tuple[str, ..
         if tag not in out:
             out.append(tag)
     return tuple(out)
-
-
-def expand_study_kind(
-    kind: str,
-    net: Network,
-    *,
-    n_scenarios: int | None = None,
-    lo_percent: float = 80.0,
-    hi_percent: float = 120.0,
-    sigma_percent: float = 5.0,
-    seed: int = 0,
-    depth: int = 2,
-    n_zones: int = 0,
-    rho_percent: float = 0.0,
-) -> ScenarioStream:
-    """One study-kind -> scenario-stream factory for every front end.
-
-    The CLI ``study`` subcommand, the service's ``StudyRequest``
-    expansion, and any future transport all describe a family the same
-    flat way (kind + percent-scaled knobs); this is the single place
-    that mapping lives.  ``n_scenarios`` means draws (monte_carlo/lhs),
-    steps (sweep/profile), or the combination cap (outage), matching
-    each family's natural count.  ``n_zones >= 2`` switches Monte Carlo
-    to zonal correlated draws (equicorrelation ``rho_percent`` across
-    zones, each scenario tagged with its stress-driving ``hot_zone``).
-    """
-    kind = kind.replace("-", "_")
-    if n_zones >= 2 and kind != "monte_carlo":
-        raise ValueError(
-            f"zonal correlated draws (n_zones={n_zones}) apply to "
-            "monte_carlo studies only"
-        )
-    if n_zones > net.n_bus:
-        # More zones than buses would leave empty bus bands whose drawn
-        # factors scale nothing yet could still win the hot_zone argmax.
-        raise ValueError(
-            f"n_zones={n_zones} exceeds the case's {net.n_bus} buses; "
-            "every zone must contain at least one bus"
-        )
-    if kind == "sweep":
-        return load_sweep(lo_percent / 100.0, hi_percent / 100.0, n_scenarios or 9)
-    if kind == "profile":
-        return daily_profile(steps=n_scenarios or 24)
-    if kind == "outage":
-        return outage_combinations(net, depth=depth, limit=n_scenarios or 50)
-    if kind == "lhs":
-        return latin_hypercube(
-            n=n_scenarios or 100,
-            lo=lo_percent / 100.0,
-            hi=hi_percent / 100.0,
-            seed=seed,
-        )
-    if kind == "monte_carlo":
-        correlation = (
-            uniform_correlation(n_zones, rho_percent / 100.0)
-            if n_zones >= 2
-            else None
-        )
-        return monte_carlo_ensemble(
-            n=n_scenarios or 200,
-            sigma=sigma_percent / 100.0,
-            seed=seed,
-            correlation=correlation,
-        )
-    raise ValueError(
-        f"unknown study kind {kind!r}; use one of {STUDY_FAMILY_KINDS}"
-    )
 
 
 def factorial(*families: Iterable[Scenario]) -> ScenarioStream:

@@ -4,8 +4,9 @@ The top of the GridMind stack (ROADMAP: async session server, shared
 process-pool lifecycle, cross-session result store):
 
 * :mod:`repro.service.api` — typed request/response envelopes
-  (``AskRequest``/``AskReply``/``StudyRequest``/``StudyReply``) plus
-  order-independent per-session seed derivation,
+  (``AskRequest``/``AskReply``/``StudyReply``/``WatchReply``, plus the
+  re-exported ``StudyRequest`` and ``WatchRequest`` every front end
+  builds) and order-independent per-session seed derivation,
 * :class:`StudyExecutor` (from :mod:`repro.scenarios.executor`) — one
   long-lived process pool shared by every batch study,
 * :mod:`repro.service.store` — :class:`ResultStore`, content-addressed
@@ -32,14 +33,12 @@ Quickstart::
 
 from ..scenarios.executor import StudyExecutor
 from .api import (
-    STUDY_KINDS,
     AskReply,
     AskRequest,
     SessionInfo,
     StudyReply,
     StudyRequest,
     WatchReply,
-    WatchRequest,
     WatchUpdate,
     derive_session_seed,
     thin_progress,
@@ -47,8 +46,19 @@ from .api import (
 from .service import GridMindService, ServiceClosed, SessionNotFound
 from .store import ResultStore, StoredStudyMeta, StudyNotFound
 
+
+def __getattr__(name: str):
+    # WatchRequest lives beside run_watch.  Resolving it on first use keeps
+    # the telemetry layer out of service processes, and the pool workers
+    # they fork, that never watch a feed.
+    if name == "WatchRequest":
+        from ..telemetry.watch import WatchRequest
+
+        return WatchRequest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
-    "STUDY_KINDS",
     "AskReply",
     "AskRequest",
     "GridMindService",

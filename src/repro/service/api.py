@@ -6,6 +6,14 @@ the service validates inputs exactly the way the tool registry validates
 tool arguments.  The envelopes deliberately carry only plain data — no
 network objects, no solver state — mirroring the paper's principle that
 agent boundaries exchange validated structured artefacts.
+
+The two request envelopes live beside the functions that read them:
+:class:`StudyRequest` in :mod:`repro.scenarios.request` (read by
+``expand_study_kind`` and ``run_study_request``, and re-exported here)
+and ``WatchRequest`` in :mod:`repro.telemetry.watch` (read by
+``run_watch``, and re-exported by :mod:`repro.service`).  The CLI and
+the study agent build the same requests, so one request gives one
+answer whichever front end asked.
 """
 
 from __future__ import annotations
@@ -14,12 +22,7 @@ import hashlib
 
 from pydantic import BaseModel, ConfigDict, Field
 
-from ..scenarios.aggregate import DEFAULT_SLICE_MAX_VALUES
-from ..scenarios.generators import STUDY_FAMILY_KINDS
-
-#: Scenario families the service can expand server-side (the shared
-#: :func:`repro.scenarios.expand_study_kind` factory's vocabulary).
-STUDY_KINDS = STUDY_FAMILY_KINDS
+from ..scenarios.request import StudyRequest  # noqa: F401  (re-export)
 
 
 def derive_session_seed(service_seed: int, session_id: str) -> int:
@@ -92,65 +95,6 @@ class SessionInfo(BaseModel):
     usage: SessionUsage | None = None
 
 
-class StudyRequest(BaseModel):
-    """A declarative batch study submitted directly to the service.
-
-    The same families the study agent exposes conversationally, minus the
-    conversation: the service expands the family, routes it through the
-    shared executor, and persists the result set when a store is attached.
-    """
-
-    model_config = ConfigDict(extra="forbid")
-
-    case_name: str = Field(description="IEEE case identifier, e.g. 'ieee118'")
-    kind: str = Field(default="monte_carlo", description=f"one of {STUDY_KINDS}")
-    session_id: str | None = Field(
-        default=None,
-        description="session to bill this study's resource usage to "
-        "(None = the unattributed '_direct' bucket)",
-    )
-    analysis: str = Field(default="powerflow")
-    n_scenarios: int | None = Field(
-        default=None,
-        ge=1,
-        le=20_000,
-        description="draws (monte_carlo/lhs), steps (sweep/profile), cap (outage)",
-    )
-    lo_percent: float = Field(default=80.0, gt=0.0)
-    hi_percent: float = Field(default=120.0, gt=0.0)
-    sigma_percent: float = Field(default=5.0, ge=0.0, le=100.0)
-    depth: int = Field(default=2, ge=1, le=3)
-    seed: int = Field(default=0, ge=0)
-    label: str = Field(default="", description="free-text tag kept in the store")
-    n_zones: int = Field(
-        default=0,
-        ge=0,
-        le=32,
-        description="monte_carlo only: zonal correlated draws over this many "
-        "contiguous bus zones (0 = independent per-load noise)",
-    )
-    rho_percent: float = Field(
-        default=0.0,
-        ge=-100.0,
-        le=100.0,
-        description="inter-zone load correlation, % (with n_zones >= 2)",
-    )
-    slice_by: list[str] | None = Field(
-        default=None,
-        description=(
-            "tag dimensions for sliced aggregation ('hour_of_day', 'scale', "
-            "'hot_zone' ...; aliases like 'hour'/'zone' accepted); None "
-            "infers the family's natural dimension, [] disables slicing"
-        ),
-    )
-    slice_max_values: int = Field(
-        default=DEFAULT_SLICE_MAX_VALUES,
-        ge=1,
-        le=512,
-        description="per-dimension cardinality cap (overflow folds into __other__)",
-    )
-
-
 class StudyReply(BaseModel):
     """Summary of a completed study plus its persistent store key.
 
@@ -179,72 +123,6 @@ class StudyReply(BaseModel):
     n_progress_events: int = 0
     progress: list[dict] = Field(default_factory=list)
     peak_resident_results: int | None = None
-
-
-class WatchRequest(BaseModel):
-    """A standing windowed telemetry study submitted to the service.
-
-    The service attaches a simulated device fleet to the case, streams
-    ``n_ticks`` telemetry ticks through the rolling-window layer, and
-    reports every closed window (plus the alerts it fired) as a
-    :class:`WatchUpdate`.  With ``pace="simulated"`` the run is fully
-    deterministic in (seed, fleet spec); ``pace="wall"`` plays the feed
-    against the wall clock for live demos.
-    """
-
-    model_config = ConfigDict(extra="forbid")
-
-    case_name: str = Field(description="IEEE case identifier, e.g. 'ieee14'")
-    session_id: str = Field(
-        default="watch", min_length=1,
-        description="session to bill and label this watch under",
-    )
-    analysis: str = Field(default="powerflow")
-    n_devices: int = Field(
-        default=500, ge=1, le=2_000_000,
-        description="simulated meters/DERs attached to the case's buses",
-    )
-    n_ticks: int = Field(
-        default=24, ge=1, le=100_000, description="telemetry ticks to stream"
-    )
-    window_ticks: int = Field(default=4, ge=1, description="rolling window size")
-    slide_ticks: int | None = Field(
-        default=None, ge=1,
-        description="window slide (None = tumbling; must divide window_ticks)",
-    )
-    interval_s: float = Field(
-        default=900.0, gt=0.0, description="simulated seconds per tick"
-    )
-    sigma_percent: float = Field(default=2.0, ge=0.0, le=100.0)
-    der_fraction: float = Field(default=0.25, ge=0.0, le=1.0)
-    seed: int | None = Field(
-        default=None, ge=0,
-        description="fleet seed (None = derived from the session id)",
-    )
-    anomaly_tick: int | None = Field(
-        default=None, ge=0,
-        description="inject an anomaly starting at this tick (None = clean feed)",
-    )
-    anomaly_duration: int = Field(default=2, ge=1)
-    anomaly_kind: str = Field(default="load_spike")
-    anomaly_feeder: str | None = Field(
-        default=None, description="limit the anomaly to one feeder label"
-    )
-    anomaly_magnitude: float = Field(default=1.8, gt=0.0)
-    slice_by: list[str] = Field(
-        default=["feeder", "hour_of_day"],
-        description="tag dimensions each window slices its aggregate by",
-    )
-    pace: str = Field(
-        default="simulated", pattern="^(simulated|wall)$",
-        description="'simulated' streams as fast as it folds; 'wall' paces "
-        "ticks against the wall clock",
-    )
-    speedup: float = Field(
-        default=300.0, gt=0.0,
-        description="wall pacing compression (interval_s / speedup per tick)",
-    )
-    verbosity: int = Field(default=1, ge=0, le=2)
 
 
 class WatchUpdate(BaseModel):

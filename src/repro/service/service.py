@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.session import GridMindSession
 from ..instrumentation.accounting import record_turn, session_scope, session_usage
@@ -34,7 +35,6 @@ from ..instrumentation.rollup import MetricsSampler
 from ..instrumentation.trace import Tracer, get_tracer, set_tracer
 from ..scenarios.executor import StudyExecutor
 from .api import (
-    STUDY_KINDS,
     AskReply,
     AskRequest,
     SessionInfo,
@@ -42,12 +42,14 @@ from .api import (
     StudyReply,
     StudyRequest,
     WatchReply,
-    WatchRequest,
     WatchUpdate,
     derive_session_seed,
     thin_progress,
 )
 from .store import ResultStore
+
+if TYPE_CHECKING:
+    from ..telemetry.watch import WatchRequest
 
 
 class SessionNotFound(KeyError):
@@ -253,32 +255,9 @@ class GridMindService:
         self, request: StudyRequest, progress=None
     ) -> StudyReply:
         from ..grid.cases import load_case
-        from ..scenarios import BatchStudyRunner, StudyConfig, expand_study_kind, resolve_slice_by
+        from ..scenarios import run_study_request
 
-        if request.kind not in STUDY_KINDS:
-            raise ValueError(
-                f"unknown study kind {request.kind!r}; use one of {STUDY_KINDS}"
-            )
-        config = StudyConfig(
-            analysis=request.analysis,
-            slice_by=resolve_slice_by(
-                request.slice_by, request.kind, n_zones=request.n_zones
-            ),
-            slice_max_values=request.slice_max_values,
-        )
         net = load_case(request.case_name)
-        scenarios = expand_study_kind(
-            request.kind,
-            net,
-            n_scenarios=request.n_scenarios,
-            lo_percent=request.lo_percent,
-            hi_percent=request.hi_percent,
-            sigma_percent=request.sigma_percent,
-            seed=request.seed,
-            depth=request.depth,
-            n_zones=request.n_zones,
-            rho_percent=request.rho_percent,
-        )
         events: list[dict] = []
 
         def on_chunk(p) -> None:
@@ -286,39 +265,20 @@ class GridMindService:
             if progress is not None:
                 progress(p)
 
-        # The full record list is only retained when a store will persist
-        # it; otherwise the study streams through the reducer and holds
-        # O(in-flight window + worst-K + n_slices) results at peak.
-        runner = BatchStudyRunner(config, executor=self.executor)
         tracer = get_tracer()
         with tracer.span(
             "service.run_study", kind=request.kind, case=request.case_name
         ) as root:
-            study = runner.run(
-                net,
-                scenarios,
+            study, summary = run_study_request(
+                request, net, executor=self.executor, store=self.store,
                 progress=on_chunk,
-                keep_results=self.store is not None,
             )
-            key = None
-            if self.store is not None:
-                key = self.store.put(
-                    net,
-                    config,
-                    scenarios,
-                    study,
-                    study_kind=request.kind,
-                    label=request.label,
-                )
+        key = summary.get("study_key")
         trace_id = root.trace_id if tracer.enabled else None
         if key and trace_id:
             # Export after the root span closes so it is part of the
             # sidecar; the store resolves the key to the payload path.
             self.store.put_trace(key, tracer.spans(trace_id))
-        summary = study.to_dict(max_scenarios=5)
-        summary["study_kind"] = request.kind
-        if key:
-            summary["study_key"] = key
         if trace_id:
             summary["trace_id"] = trace_id
         return StudyReply(
@@ -330,7 +290,7 @@ class GridMindService:
             n_scenarios=study.n_scenarios,
             n_jobs=study.n_jobs,
             runtime_s=study.runtime_s,
-            slice_by=list(config.slice_by),
+            slice_by=summary.get("slice_by", []),
             summary=summary,
             n_progress_events=len(events),
             progress=thin_progress(events),
@@ -362,22 +322,12 @@ class GridMindService:
     def _watch_inner(self, request: WatchRequest, on_update=None) -> WatchReply:
         from ..grid.cases import load_case
         from ..llm.narration import narrate_watch, narrate_watch_window
-        from ..telemetry import AnomalySpec, run_watch
+        from ..telemetry import run_watch
 
         net = load_case(request.case_name)
-        seed = (
-            request.seed
-            if request.seed is not None
-            else derive_session_seed(self.seed, request.session_id)
-        )
-        anomaly = None
-        if request.anomaly_tick is not None:
-            anomaly = AnomalySpec(
-                start_tick=request.anomaly_tick,
-                duration_ticks=request.anomaly_duration,
-                kind=request.anomaly_kind,
-                feeder=request.anomaly_feeder,
-                magnitude=request.anomaly_magnitude,
+        if request.seed is None:
+            request = request.model_copy(
+                update={"seed": derive_session_seed(self.seed, request.session_id)}
             )
         updates: list[WatchUpdate] = []
 
@@ -404,22 +354,7 @@ class GridMindService:
             session_id=request.session_id,
         ):
             out = run_watch(
-                net,
-                n_devices=request.n_devices,
-                n_ticks=request.n_ticks,
-                window_ticks=request.window_ticks,
-                slide_ticks=request.slide_ticks,
-                seed=seed,
-                interval_s=request.interval_s,
-                sigma=request.sigma_percent / 100.0,
-                der_fraction=request.der_fraction,
-                anomaly=anomaly,
-                analysis=request.analysis,
-                slice_by=tuple(request.slice_by),
-                pace=request.pace,
-                speedup=request.speedup,
-                on_window=on_window,
-                executor=self.executor,
+                net, request, on_window=on_window, executor=self.executor
             )
         return WatchReply(
             session_id=request.session_id,

@@ -14,19 +14,23 @@ grid rather than running one-shot studies):
   tumbling/sliding windows of :class:`~repro.scenarios.aggregate
   .SlicedReducer`s with eviction (O(window + K) memory on an unbounded
   feed) plus the :func:`telemetry_rules` health glue,
-* :mod:`repro.telemetry.watch` — :func:`run_watch`, the shared engine
-  behind ``gridmind watch``, the service's ``WatchRequest`` surface, and
-  the study agent's watch tool; its ticks run through the batch
-  runner's chunk stream, on a shared executor when one is given.
+* :mod:`repro.telemetry.watch` — :class:`WatchRequest`, the one flat
+  description of a watch, and :func:`run_watch`, the one engine that
+  runs it for ``gridmind watch``, the service and the study agent's
+  watch tool; its ticks run through the batch runner's chunk stream, on
+  a shared executor when one is given.
 
 Quickstart::
 
     from repro import load_case
-    from repro.telemetry import AnomalySpec, run_watch
+    from repro.telemetry import WatchRequest, run_watch
 
     out = run_watch(
-        load_case("ieee14"), n_devices=200, n_ticks=24, window_ticks=4,
-        anomaly=AnomalySpec(start_tick=10, duration_ticks=4),
+        load_case("ieee14"),
+        WatchRequest(
+            case_name="ieee14", n_devices=200, n_ticks=24, window_ticks=4,
+            seed=0, anomaly_tick=10, anomaly_duration=4,
+        ),
     )
     print(out["n_windows"], out["n_alerts"], out["digest"])
 """
@@ -42,7 +46,7 @@ from .fleet import (
     device_seed,
     frame_seed,
 )
-from .watch import run_watch
+from .watch import WatchRequest, run_watch
 from .window import (
     DEFAULT_WINDOW_SLICES,
     RollingWindowStudy,
@@ -64,6 +68,7 @@ __all__ = [
     "RollingWindowStudy",
     "TelemetryFrame",
     "TelemetryStream",
+    "WatchRequest",
     "WindowResult",
     "WindowSpec",
     "device_seed",

@@ -1,8 +1,8 @@
 """Telemetry feed: time-ordered frames adapted into the scenario contract.
 
 :class:`TelemetryStream` is the bridge between the device fleet and the
-study machinery.  It yields frames in time order (optionally paced
-against the wall clock), and it adapts each tick's frame batch into one
+study machinery.  It yields each tick's frame batch in time order
+(optionally paced against the wall clock), and it adapts each tick's frame batch into one
 :class:`~repro.scenarios.spec.Scenario` — a
 :class:`~repro.scenarios.spec.PerBusLoadScale` carrying the fleet's
 per-bus net draw, tagged with the tick's coordinates (tick, hour,
@@ -79,14 +79,6 @@ class TelemetryStream:
         for tick in range(self.start_tick, self.start_tick + self.n_ticks):
             self._pace_tick()
             yield tick, self.fleet.frames_for_tick(tick)
-
-    def frames(self):
-        """Yield individual frames in time order (device order per tick)."""
-        for _tick, batch in self.tick_batches():
-            yield from batch
-
-    def __iter__(self):
-        return self.frames()
 
     # ------------------------------------------------------------------
     def scenario_for_tick(

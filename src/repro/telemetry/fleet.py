@@ -238,14 +238,6 @@ class DeviceFleet:
     def devices(self) -> list[_Device]:
         return self._devices
 
-    @property
-    def feeders(self) -> list[str]:
-        """Distinct feeder labels in bus order."""
-        seen: dict[str, None] = {}
-        for b in range(self.n_bus):
-            seen.setdefault(self._zones[b], None)
-        return list(seen)
-
     def hour_at(self, tick: int) -> float:
         return (tick * self.spec.interval_s / 3600.0) % 24.0
 
@@ -308,11 +300,6 @@ class DeviceFleet:
             if frame is not None:
                 frames.append(frame)
         return frames
-
-    def iter_frames(self, n_ticks: int, start_tick: int = 0):
-        """Time-ordered frames over ``n_ticks`` ticks (lazy)."""
-        for tick in range(start_tick, start_tick + n_ticks):
-            yield from self.frames_for_tick(tick)
 
     # ------------------------------------------------------------------
     def tick_bus_factors(

@@ -1,8 +1,12 @@
 """The watch engine: fleet -> feed -> rolling windows -> health -> alerts.
 
-One synchronous loop shared by every watch front end (the ``gridmind
-watch`` CLI, the service's ``WatchRequest`` surface, and the study
-agent's watch tool).  The parent synthesises each tick's frames and
+:class:`WatchRequest` is the one flat description of a watch, and
+:func:`run_watch` the one synchronous loop that reads it, for every
+front end: the ``gridmind watch`` CLI and the study agent's watch tool
+build a request from their own arguments, and the service takes one as
+its envelope.  ``run_watch`` builds the fleet and its anomaly from the
+request once, so the same request gives the same digest whichever front
+end asked.  The parent synthesises each tick's frames and
 adapts them into one scenario; the ticks then run through the same chunk
 stream every batch study uses
 (:meth:`~repro.scenarios.runner.BatchStudyRunner.chunk_stream`), on the
@@ -37,14 +41,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import closing
-from typing import Callable, Sequence
+from typing import Callable
+
+from pydantic import BaseModel, ConfigDict, Field
 
 from ..grid.network import Network
-from ..instrumentation.health import AlertEvent, HealthMonitor, HealthRule
+from ..instrumentation.health import AlertEvent, HealthMonitor
 from ..instrumentation.metrics import get_metrics
 from ..instrumentation.rollup import MetricsSampler
 from ..instrumentation.trace import get_tracer
-from ..scenarios.aggregate import DEFAULT_SLICE_MAX_VALUES
 from ..scenarios.executor import StudyExecutor
 from ..scenarios.runner import BatchStudyRunner, StudyConfig
 from ..scenarios.stream import ScenarioStream
@@ -60,28 +65,82 @@ from .window import (
 )
 
 
+class WatchRequest(BaseModel):
+    """A standing windowed telemetry study: fleet, feed, windows, anomaly.
+
+    The one flat description of a watch: the service takes it as an
+    envelope, the ``gridmind watch`` CLI builds one from its flags, and
+    the study agent's watch tool maps its arguments onto one.  With
+    ``pace="simulated"`` the run is fully deterministic in (seed, fleet
+    spec); ``pace="wall"`` plays the feed against the wall clock for
+    live demos.
+    """
+
+    model_config = ConfigDict(extra="forbid")
+
+    case_name: str = Field(description="IEEE case identifier, e.g. 'ieee14'")
+    session_id: str = Field(
+        default="watch", min_length=1,
+        description="session to bill and label this watch under",
+    )
+    analysis: str = Field(default="powerflow")
+    n_devices: int = Field(
+        default=500, ge=1, le=2_000_000,
+        description="simulated meters/DERs attached to the case's buses",
+    )
+    n_ticks: int = Field(
+        default=24, ge=1, le=100_000, description="telemetry ticks to stream"
+    )
+    window_ticks: int = Field(default=4, ge=1, description="rolling window size")
+    slide_ticks: int | None = Field(
+        default=None, ge=1,
+        description="window slide (None = tumbling; must divide window_ticks)",
+    )
+    interval_s: float = Field(
+        default=DEFAULT_INTERVAL_S, gt=0.0, description="simulated seconds per tick"
+    )
+    sigma_percent: float = Field(default=2.0, ge=0.0, le=100.0)
+    der_fraction: float = Field(default=0.25, ge=0.0, le=1.0)
+    seed: int | None = Field(
+        default=None, ge=0,
+        description="fleet seed (None = derived from the session id by the "
+        "service; 0 elsewhere)",
+    )
+    anomaly_tick: int | None = Field(
+        default=None, ge=0,
+        description="inject an anomaly starting at this tick (None = clean feed)",
+    )
+    anomaly_duration: int = Field(default=2, ge=1)
+    anomaly_kind: str = Field(default="load_spike")
+    anomaly_feeder: str | None = Field(
+        default=None, description="limit the anomaly to one feeder label"
+    )
+    anomaly_magnitude: float = Field(default=1.8, gt=0.0)
+    slice_by: list[str] = Field(
+        default=list(DEFAULT_WINDOW_SLICES),
+        description="tag dimensions each window slices its aggregate by",
+    )
+    pace: str = Field(
+        default=PACE_SIMULATED, pattern="^(simulated|wall)$",
+        description="'simulated' streams as fast as it folds; 'wall' paces "
+        "ticks against the wall clock",
+    )
+    speedup: float = Field(
+        default=DEFAULT_SPEEDUP, gt=0.0,
+        description="wall pacing compression (interval_s / speedup per tick)",
+    )
+    verbosity: int = Field(default=1, ge=0, le=2)
+
+
 def run_watch(
     net: Network,
+    request: WatchRequest,
     *,
-    n_devices: int,
-    n_ticks: int,
-    window_ticks: int,
-    slide_ticks: int | None = None,
-    seed: int = 0,
-    interval_s: float = DEFAULT_INTERVAL_S,
-    sigma: float = 0.02,
-    der_fraction: float = 0.25,
-    anomaly: AnomalySpec | None = None,
-    analysis: str = "powerflow",
-    slice_by: Sequence[str] = DEFAULT_WINDOW_SLICES,
-    max_values: int = DEFAULT_SLICE_MAX_VALUES,
-    pace: str = PACE_SIMULATED,
-    speedup: float = DEFAULT_SPEEDUP,
-    rules: Sequence[HealthRule] | None = None,
     on_window: Callable[[dict], None] | None = None,
     executor: StudyExecutor | None = None,
 ) -> dict:
-    """Run a bounded watch and return its full, JSON-ready outcome.
+    """Run the bounded watch ``request`` describes on ``net``; return its
+    full, JSON-ready outcome.
 
     ``on_window`` (optional) receives one dict per closed window *as it
     closes* — the window's aggregate plus the alert events it triggered
@@ -94,25 +153,35 @@ def run_watch(
     :class:`~repro.scenarios.runner.BatchStudyRunner` does; without one
     they run in-process.  The outcome is identical either way.
     """
+    interval_s = request.interval_s
+    anomaly = None
+    if request.anomaly_tick is not None:
+        anomaly = AnomalySpec(
+            start_tick=request.anomaly_tick,
+            duration_ticks=request.anomaly_duration,
+            kind=request.anomaly_kind,
+            feeder=request.anomaly_feeder,
+            magnitude=request.anomaly_magnitude,
+        )
     fleet_spec = FleetSpec(
-        n_devices=n_devices,
-        seed=seed,
+        n_devices=request.n_devices,
+        seed=request.seed or 0,
         interval_s=interval_s,
-        sigma=sigma,
-        der_fraction=der_fraction,
+        sigma=request.sigma_percent / 100.0,
+        der_fraction=request.der_fraction,
         anomalies=(anomaly,) if anomaly is not None else (),
     )
     fleet = DeviceFleet(net, fleet_spec)
-    stream = TelemetryStream(fleet, n_ticks, pace=pace, speedup=speedup)
+    n_ticks = request.n_ticks
+    stream = TelemetryStream(fleet, n_ticks, pace=request.pace, speedup=request.speedup)
     window_spec = WindowSpec(
-        size_ticks=window_ticks,
-        slide_ticks=slide_ticks,
-        slice_by=tuple(slice_by),
-        max_values=max_values,
+        size_ticks=request.window_ticks,
+        slide_ticks=request.slide_ticks,
+        slice_by=tuple(request.slice_by),
     )
     study = RollingWindowStudy(window_spec)
     runner = BatchStudyRunner(
-        StudyConfig(analysis=analysis, ac_mode="cold"),
+        StudyConfig(analysis=request.analysis, ac_mode="cold"),
         chunk_size=window_spec.slide_ticks,
         executor=executor,
     )
@@ -135,7 +204,7 @@ def run_watch(
     # wall-clock sampler keeps its own cadence, while alert evaluation
     # here must be a pure function of the feed for replay determinism.
     sampler = MetricsSampler(interval_s=max(interval_s, 1e-6), max_samples=720)
-    monitor = HealthMonitor(rules=tuple(rules) if rules is not None else tuple(telemetry_rules()))
+    monitor = HealthMonitor(rules=tuple(telemetry_rules()))
 
     frames_counter = registry.counter(
         "gridmind_telemetry_frames_total", "Telemetry frames ingested, by device kind"
@@ -203,7 +272,7 @@ def run_watch(
 
     start = time.perf_counter()
     with get_tracer().span(
-        "telemetry.watch", case=net.name, n_devices=n_devices, n_ticks=n_ticks
+        "telemetry.watch", case=net.name, n_devices=request.n_devices, n_ticks=n_ticks
     ):
         with closing(runner.chunk_stream(net, ticks)) as outcomes:
             for outcome in outcomes:
@@ -224,8 +293,8 @@ def run_watch(
 
     return {
         "case_name": net.name,
-        "analysis": analysis,
-        "n_devices": n_devices,
+        "analysis": request.analysis,
+        "n_devices": request.n_devices,
         "n_ticks": n_ticks,
         "n_frames": n_frames,
         "n_anomaly_frames": n_anomaly_frames,

@@ -370,6 +370,28 @@ class TestResultStore:
         ]
         assert got == self.GOLDEN_SPEC_HASHES
 
+    #: Store keys of each family's default StudyRequest on ieee14, recorded
+    #: before the request became the one description every front end
+    #: builds: a default request must keep expanding to the same scenarios.
+    GOLDEN_DEFAULT_STUDY_KEYS = {
+        "sweep": "29324118bfa390d9-a94fc49bd9d6bb4f",
+        "monte_carlo": "29324118bfa390d9-5b7184a6761ccf4b",
+        "lhs": "29324118bfa390d9-a9fa711b666e1ef7",
+        "outage": "29324118bfa390d9-0fbaa2781c3bc5d7",
+        "profile": "29324118bfa390d9-0187dc100f6fbd73",
+    }
+
+    def test_default_request_golden_store_keys(self, tmp_path, case14):
+        from repro.scenarios import expand_study_kind
+
+        store = ResultStore(tmp_path)
+        got = {}
+        for kind in self.GOLDEN_DEFAULT_STUDY_KEYS:
+            request = StudyRequest(case_name="ieee14", kind=kind)
+            scenarios = list(expand_study_kind(request, case14))
+            got[kind] = store.key_for(case14, request.config(), scenarios)
+        assert got == self.GOLDEN_DEFAULT_STUDY_KEYS
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -103,7 +103,8 @@ class TestSliceSpec:
 class TestResolveSliceBy:
     def test_none_infers_from_family(self):
         assert resolve_slice_by(None, "profile") == ("hour_of_day",)
-        assert resolve_slice_by(None, "daily_profile") == ("hour_of_day",)
+        # One spelling per family: the agent's old tool-name kinds are gone.
+        assert resolve_slice_by(None, "daily_profile") == ()
         assert resolve_slice_by(None, "sweep") == ("scale",)
         assert resolve_slice_by(None, "monte_carlo") == ()
 
@@ -129,12 +130,14 @@ class TestResolveSliceBy:
         assert resolve_slice_by("none", "monte_carlo", n_zones=3) == ()
 
     def test_expand_rejects_more_zones_than_buses(self, case14):
-        from repro.scenarios import expand_study_kind
+        from repro.scenarios import StudyRequest, expand_study_kind
 
+        request = StudyRequest(
+            case_name="ieee14", kind="monte_carlo", n_scenarios=4,
+            n_zones=case14.n_bus + 1,
+        )
         with pytest.raises(ValueError, match="at least one bus"):
-            expand_study_kind(
-                "monte_carlo", case14, n_scenarios=4, n_zones=case14.n_bus + 1
-            )
+            expand_study_kind(request, case14)
 
 
 # ----------------------------------------------------------------------
@@ -693,7 +696,7 @@ class TestSlicedNarration:
             StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
         ).run(case14, daily_profile(steps=24))
         payload = study.to_dict(max_scenarios=3)
-        payload["study_kind"] = "daily_profile"
+        payload["study_kind"] = "profile"
         text = narrate_study(payload, verbosity=1)
         assert "Sliced by hour of day (24 buckets):" in text
         assert "hour of day 0:" in text
@@ -705,7 +708,7 @@ class TestSlicedNarration:
             StudyConfig(analysis="powerflow", slice_by=("hour_of_day",)),
         ).run(case14, daily_profile(steps=24))
         payload = study.to_dict()
-        payload["study_kind"] = "daily_profile"
+        payload["study_kind"] = "profile"
         text = narrate_study(payload, verbosity=2)
         for hour in range(24):
             assert f"hour of day {hour}:" in text

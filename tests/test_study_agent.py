@@ -63,7 +63,7 @@ class TestStudyTools:
                 {"case_name": "ieee14", "steps": 6},
             )
         )
-        assert payload["study_kind"] == "daily_profile"
+        assert payload["study_kind"] == "profile"
         assert payload["n_scenarios"] == 6
 
     def test_bad_analysis_surfaces_tool_error(self, registry):

@@ -358,10 +358,11 @@ class TestBusZones:
 # ----------------------------------------------------------------------
 
 
-def _watch(net, **kw):
-    defaults = dict(n_devices=40, n_ticks=8, window_ticks=4, seed=9)
-    defaults.update(kw)
-    return run_watch(net, **defaults)
+def _watch(net, *, on_window=None, executor=None, **kw):
+    fields = dict(n_devices=40, n_ticks=8, window_ticks=4, seed=9)
+    fields.update(kw)
+    request = WatchRequest(case_name=net.name, **fields)
+    return run_watch(net, request, on_window=on_window, executor=executor)
 
 
 class TestRunWatch:
@@ -385,7 +386,7 @@ class TestRunWatch:
         out = _watch(
             ieee14,
             n_ticks=12,
-            anomaly=AnomalySpec(start_tick=5, duration_ticks=3, magnitude=2.5),
+            anomaly_tick=5, anomaly_duration=3, anomaly_magnitude=2.5,
         )
         assert out["n_anomaly_frames"] > 0
         # frame -> window reducer: the covering window counts anomalous ticks
@@ -413,14 +414,18 @@ class TestRunWatch:
         # "ok" watch.
         with pytest.raises(ValueError, match="unknown analysis"):
             run_watch(
-                ieee14, analysis="magic", n_devices=20, n_ticks=8, window_ticks=4
+                ieee14,
+                WatchRequest(
+                    case_name="ieee14", analysis="magic", n_devices=20,
+                    n_ticks=8, window_ticks=4,
+                ),
             )
 
     def test_dropout_surfaces_end_to_end(self, ieee14):
         out = _watch(
             ieee14,
             n_ticks=12,
-            anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind="dropout"),
+            anomaly_tick=5, anomaly_duration=3, anomaly_kind="dropout",
         )
         assert [w["n_anomalous"] for w in out["windows"]] == [0, 3, 0]
         fired = [
@@ -464,8 +469,8 @@ def _metered_watch(net, **kw):
 
 
 _POOLED_WATCHES = {
-    "spike": dict(anomaly=AnomalySpec(start_tick=5, duration_ticks=3, magnitude=2.5)),
-    "dropout": dict(anomaly=AnomalySpec(start_tick=5, duration_ticks=3, kind="dropout")),
+    "spike": dict(anomaly_tick=5, anomaly_duration=3, anomaly_magnitude=2.5),
+    "dropout": dict(anomaly_tick=5, anomaly_duration=3, anomaly_kind="dropout"),
     "sliding": dict(slide_ticks=2),
     "dc": dict(analysis="dc"),
 }
