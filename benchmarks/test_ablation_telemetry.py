@@ -1,11 +1,12 @@
 """E17 — Ablation: telemetry ingest and rolling-window cost vs fleet and window.
 
-The watch loop's cost has two separable parts: *ingest* (per-frame fleet
-model evaluation — one small RNG draw per (device, tick), no cross-device
-state) and the *windowed study* (one powerflow per tick plus O(1)
-reducer folds per result, with a whole-reducer eviction per closed
-window).  This benchmark measures both across fleet sizes and window
-lengths:
+The watch loop's cost has two separable parts: *ingest* (the fleet model
+drawing each tick in bulk — the tick's frame seeds hashed as arrays, two
+normals per frame from one reused generator, loads and voltages as array
+arithmetic, no cross-device state) and the *windowed study* (one
+powerflow per tick plus O(1) reducer folds per result, with a
+whole-reducer eviction per closed window).  This benchmark measures
+both across fleet sizes and window lengths:
 
 * ingest — raw frames/second from :meth:`DeviceFleet.frames_for_tick`
   alone (no solver, no windows), which should scale linearly in fleet

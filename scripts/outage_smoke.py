@@ -71,7 +71,8 @@ def n_minus_1(net) -> None:
     fast = run_n_minus_1(net)
     t_fast = time.perf_counter() - tick
 
-    work = net.copy()  # a cold snapshot cache: the sweep pays its own build
+    work = net.copy()
+    work.touch()  # a cold snapshot cache (a copy carries the admittances)
     real_build = ybus.build_admittances
     builds = []
     ybus.build_admittances = lambda arr: builds.append(arr) or real_build(arr)

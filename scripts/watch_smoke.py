@@ -20,7 +20,10 @@ stack makes:
   payload round-trips, and its digest equals the digests of
   ``GridMindService.watch`` and of the study agent's ``watch_telemetry``
   tool for the same request: every front end builds one
-  ``WatchRequest`` and runs it through ``run_watch``.
+  ``WatchRequest`` and runs it through ``run_watch``,
+* the benchmark's watch (ieee118, 400 devices, 96 ticks, 4-tick windows,
+  seed 0) reproduces the digest recorded in ``perfbench/references.json``
+  bit for bit (the file is read, never written).
 
 Exits nonzero on the first violated invariant.
 
@@ -36,6 +39,7 @@ import contextlib
 import io
 import json
 import sys
+from pathlib import Path
 
 from repro.core.agents.study_agent import build_study_registry
 from repro.core.cli import main as cli_main
@@ -48,6 +52,7 @@ from repro.telemetry import DeviceFleet, FleetSpec, WatchRequest, run_watch
 
 N_TICKS = 16
 WINDOW = 4
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def check(condition: bool, message: str) -> None:
@@ -180,6 +185,20 @@ def main() -> int:
     check(
         doc["digest"] == served == tool["digest"],
         f"CLI, service and agent anomaly watches share one digest ({doc['digest']})",
+    )
+
+    # The benchmark's watch, against its recorded digest.
+    reference = json.loads(REFERENCES.read_text())["ensemble"]["0"]["watch"]
+    set_metrics(MetricsRegistry())
+    bench = run_watch(
+        load_case("ieee118"),
+        WatchRequest(
+            case_name="ieee118", n_devices=400, n_ticks=96, window_ticks=4, seed=0
+        ),
+    )
+    check(
+        bench["digest"] == reference,
+        f"the ieee118 benchmark watch keeps its recorded digest ({bench['digest']})",
     )
 
     print("\nwatch smoke: all checks passed")

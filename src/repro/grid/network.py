@@ -12,12 +12,21 @@ Two layers on purpose:
   the per-load table scenario replays start from
   (:meth:`Network.load_table`) and the content digest cache keys use
   (:meth:`Network.content_hash`), so the solvers never touch
-  Python-object component lists in their hot loops.  One edit is
-  cheaper: taking a single branch out of a network whose snapshot is
-  complete *derives* the outage snapshot from it — delete the branch's
-  rows, patch four Ybus entries — bit for bit what a rebuild gives, and
-  switching the branch back in restores the parent, digest included.  A
-  contingency sweep therefore pays one full build, not one per outage.
+  Python-object component lists in their hot loops.  Two kinds of edit
+  are cheaper:
+
+  * a load-only edit (:meth:`Network.set_load`,
+    :meth:`Network.scale_loads`, :meth:`Network.add_load`,
+    :meth:`Network.touch_loads`) keeps the admittances, which read no
+    load field, and :meth:`Network.copy` hands them to the copy; every
+    tick or draw realized from one base therefore solves on the base's
+    own ``(Ybus, Yf, Yt)``;
+  * taking a single branch out of a network whose snapshot is complete
+    *derives* the outage snapshot from it — delete the branch's rows,
+    patch four Ybus entries — bit for bit what a rebuild gives, and
+    switching the branch back in restores the parent, digest included.
+    A contingency sweep therefore pays one full build, not one per
+    outage.
 """
 
 from __future__ import annotations
@@ -139,17 +148,23 @@ class _Snapshot:
 
     ``arrays``, ``adm``, ``loads`` (the per-load table of
     :meth:`Network.load_table`) and ``digest`` (of
-    :meth:`Network.content_hash`) fill lazily.  A snapshot with a
-    ``parent`` is that parent with branch ``outage`` switched out: it
-    derives ``arrays`` and ``adm`` from the parent instead of rebuilding
-    them, and computes its own digest.
+    :meth:`Network.content_hash`) fill lazily; ``adm`` may also be
+    carried over from the previous version by a load-only edit or a
+    copy.  A snapshot with a ``parent`` is that parent with branch
+    ``outage`` switched out: it derives ``arrays`` and ``adm`` from the
+    parent instead of rebuilding them, and computes its own digest.
     """
 
     __slots__ = ("arrays", "adm", "loads", "digest", "parent", "outage")
 
-    def __init__(self, parent: "_Snapshot | None" = None, outage: int = -1) -> None:
+    def __init__(
+        self,
+        parent: "_Snapshot | None" = None,
+        outage: int = -1,
+        adm: "_ybus.AdmittanceMatrices | None" = None,
+    ) -> None:
         self.arrays: NetworkArrays | None = None
-        self.adm: _ybus.AdmittanceMatrices | None = None
+        self.adm = adm
         self.loads: tuple[np.ndarray, ...] | None = None
         self.digest: str | None = None
         self.parent = parent
@@ -223,7 +238,7 @@ class Network:
         self._check_bus(bus)
         load = Load(bus=bus, **kwargs)
         self.loads.append(load)
-        self.touch()
+        self.touch_loads()
         return load
 
     def add_branch(self, from_bus: int, to_bus: int, **kwargs) -> Branch:
@@ -374,6 +389,19 @@ class Network:
         self._version += 1
         self._snapshot = None
 
+    def touch_loads(self) -> None:
+        """Invalidate compiled views after an edit of load records only.
+
+        Like :meth:`touch`, except that the admittances survive: they
+        read branches and bus shunts, never a load, so the next version
+        would rebuild the same bits.  Any other edit must call
+        :meth:`touch`.
+        """
+        snap = self._snapshot
+        self.touch()
+        if snap is not None and snap.adm is not None:
+            self._snapshot = _Snapshot(adm=snap.adm)
+
     def set_load(self, bus: int, pd_mw: float, qd_mvar: float | None = None) -> Load:
         """Set the total load at ``bus``, creating a load if none exists.
 
@@ -396,7 +424,7 @@ class Network:
         for ld in rest:
             ld.pd_mw = 0.0
             ld.qd_mvar = 0.0
-        self.touch()
+        self.touch_loads()
         return first
 
     def scale_loads(self, factor: float) -> None:
@@ -406,7 +434,7 @@ class Network:
         for ld in self.loads:
             ld.pd_mw *= factor
             ld.qd_mvar *= factor
-        self.touch()
+        self.touch_loads()
 
     def set_branch_status(self, branch_id: int, in_service: bool) -> Branch:
         """Switch a branch in or out of service (contingency application).
@@ -426,7 +454,8 @@ class Network:
         snap = self._snapshot
         self.touch()
         if snap is not None:
-            if br.in_service and not in_service and snap.adm is not None:
+            complete = snap.arrays is not None and snap.adm is not None
+            if br.in_service and not in_service and complete:
                 self._snapshot = _Snapshot(parent=snap, outage=branch_id)
             elif in_service and not br.in_service and snap.outage == branch_id:
                 self._snapshot = snap.parent
@@ -447,7 +476,9 @@ class Network:
         shallow clone, which is a full copy because every component field
         holds an immutable value (number, string, enum or tuple of
         floats); ``metadata`` is deep-copied.  The copy starts with a
-        fresh compile cache.
+        fresh compile cache that holds only this network's admittances,
+        if they are built: they are read-only, and every edit that could
+        change them drops them (see :meth:`touch_loads`).
         """
         clone = Network(self.base_mva, _copy.deepcopy(self.metadata))
         clone.buses = [_clone(b) for b in self.buses]
@@ -455,6 +486,9 @@ class Network:
         clone.loads = [_clone(ld) for ld in self.loads]
         clone.branches = [_clone(br) for br in self.branches]
         clone._bus_zones = dict(self._bus_zones)
+        snap = self._snapshot
+        if snap is not None and snap.adm is not None:
+            clone._snapshot = _Snapshot(adm=snap.adm)
         return clone
 
     # ------------------------------------------------------------------

@@ -54,6 +54,7 @@ from scipy.sparse import linalg as sla
 
 from ..grid.network import Network
 from ..grid.units import deg_to_rad
+from .batch import solve_blocked
 from .fast_decoupled import _series_susceptance_matrices
 from .jacobian import NewtonJacobian
 from .newton import _newton_inner, bus_power_injections, solve_newton
@@ -274,9 +275,7 @@ class AcKernel:
                 return
             v, mis = v[still], mis[still]
             p = mis[:, pvpq].real / np.abs(v[:, pvpq])
-            va[np.ix_(active, pvpq)] -= lu_p.solve(
-                np.ascontiguousarray(p.T)
-            ).T
+            va[np.ix_(active, pvpq)] -= solve_blocked(lu_p, p.T).T
             if lu_q is None:
                 continue
             v = vm[active] * np.exp(1j * va[active])
@@ -287,7 +286,7 @@ class AcKernel:
                 return
             v, mis = v[still], mis[still]
             q = mis[:, pq].imag / np.abs(v[:, pq])
-            vm[np.ix_(active, pq)] -= lu_q.solve(np.ascontiguousarray(q.T)).T
+            vm[np.ix_(active, pq)] -= solve_blocked(lu_q, q.T).T
 
     def solve_chunk(
         self, sbus: np.ndarray, *, fd_sweeps: int = 2
@@ -468,7 +467,7 @@ class AcKernel:
                 break
             sweeps[active] += 1
             p = mis[:, pvpq].real / vm[np.ix_(active, pvpq)]
-            x = lu_p.solve(np.ascontiguousarray(p.T)).T
+            x = solve_blocked(lu_p, p.T).T
             u = _pad(x)
             r = np.arange(active.size)[:, np.newaxis]
             ux = u[r, ends_p[0][active]] - u[r, ends_p[1][active]]
@@ -481,7 +480,7 @@ class AcKernel:
             if not active.size:
                 break
             q = mis[:, pq].imag / vm[np.ix_(active, pq)]
-            x = lu_q.solve(np.ascontiguousarray(q.T)).T
+            x = solve_blocked(lu_q, q.T).T
             r = np.arange(active.size)[:, np.newaxis]
             w = np.einsum("kab,kb->ka", wq[active], _pad(x)[r, ends_q[active]])
             x += np.einsum("kap,ka->kp", comp.zq[ends_q[active]], w)
@@ -609,11 +608,11 @@ class _Compensation:
         #: (n_branch + 1, n_p): row k is B'^-1 a_k.
         self.zp = np.zeros((nl + 1, n_p))
         if n_p:
-            self.zp[:nl] = lu_p.solve(np.ascontiguousarray(inc[:n_p])).T
+            self.zp[:nl] = solve_blocked(lu_p, inc[:n_p]).T
         #: (n_q + 1, n_q): row j is B''^-1 e_j (B'' is symmetric).
         self.zq = np.zeros((n_q + 1, n_q))
         if lu_q is not None:
-            self.zq[:n_q] = lu_q.solve(np.eye(n_q)).T
+            self.zq[:n_q] = solve_blocked(lu_q, np.eye(n_q)).T
 
         # B'' (XB): series -Im(1/z) plus half the charging at each end,
         # as the 2x2 block over [e_f, e_t].

@@ -49,6 +49,23 @@ from ..grid.ybus import build_b_matrices
 RHS_BLOCK = 64
 
 
+def solve_blocked(lu: sla.SuperLU, rhs: np.ndarray) -> np.ndarray:
+    """``lu.solve(rhs)`` for one right-hand side ``(n,)`` or a stack of
+    them as columns ``(n, k)``, :data:`RHS_BLOCK` columns per solve.
+
+    The one multi-RHS solve of the DC and AC kernels.  SuperLU copies
+    each block to Fortran order and solves its columns independently,
+    so the result is the unblocked solve's, bit for bit and in the same
+    (Fortran) layout, at any width and from any input layout.
+    """
+    if rhs.ndim == 1 or rhs.shape[1] <= RHS_BLOCK:
+        return lu.solve(rhs)
+    out = np.empty(rhs.shape, order="F")
+    for j in range(0, rhs.shape[1], RHS_BLOCK):
+        out[:, j:j + RHS_BLOCK] = lu.solve(rhs[:, j:j + RHS_BLOCK])
+    return out
+
+
 def topology_digest(arr: NetworkArrays) -> bytes:
     """Digest of everything the DC factorization depends on.
 
@@ -161,25 +178,13 @@ class DcKernel:
     # ------------------------------------------------------------------
     # solves
     # ------------------------------------------------------------------
-    def _angles(self, rhs_t: np.ndarray) -> np.ndarray:
-        """Reduced-system solve; accepts (n_keep,) or (n_keep, n).
-
-        Wide stacks are solved :data:`RHS_BLOCK` columns at a time.
-        """
-        if rhs_t.ndim == 1 or rhs_t.shape[1] <= RHS_BLOCK:
-            return self.lu.solve(rhs_t)
-        return np.hstack([
-            self.lu.solve(np.ascontiguousarray(rhs_t[:, j:j + RHS_BLOCK]))
-            for j in range(0, rhs_t.shape[1], RHS_BLOCK)
-        ])
-
     def solve_one(self, p_inj: np.ndarray) -> DcSolution:
         """Solve ``Bbus theta = P`` for one injection vector (p.u.)."""
         arr = self.arr
         theta = np.zeros(arr.n_bus)
         theta[self.slack] = self.va_slack
         rhs = (p_inj - self.p_bus_shift)[self.keep] - self._slack_term
-        theta[self.keep] = self._angles(rhs)
+        theta[self.keep] = solve_blocked(self.lu, rhs)
         p_flow = self.bf @ theta + self.pf_shift
         return DcSolution(theta, p_flow, self._loading(p_flow))
 
@@ -199,7 +204,7 @@ class DcKernel:
         ]
         theta = np.zeros((n, arr.n_bus))
         theta[:, self.slack] = self.va_slack
-        theta[:, self.keep] = self._angles(np.ascontiguousarray(rhs.T)).T
+        theta[:, self.keep] = solve_blocked(self.lu, rhs.T).T
         # (n_branch, n) multivector product == per-column matvec arithmetic.
         p_flow = (self.bf @ theta.T + self.pf_shift[:, np.newaxis]).T
         self.n_batch_solves += 1
@@ -222,7 +227,7 @@ class DcKernel:
             # Solve Bbus[keep,keep]^T X = Bf[:,keep]^T -> PTDF = X^T (Bbus
             # is symmetric, so the factorization above serves directly).
             rhs = np.asarray(self.bf[:, self.keep].todense()).T
-            sol = self._angles(rhs)
+            sol = solve_blocked(self.lu, rhs)
             ptdf = np.zeros((arr.n_branch, arr.n_bus))
             ptdf[:, self.keep] = sol.T
             self._ptdf = ptdf
@@ -240,5 +245,5 @@ class DcKernel:
             return self._ptdf[row].copy()
         rhs = np.asarray(self.bf[row, self.keep].todense()).ravel()
         out = np.zeros(arr.n_bus)
-        out[self.keep] = self._angles(rhs)
+        out[self.keep] = solve_blocked(self.lu, rhs)
         return out

@@ -24,6 +24,11 @@ per-load draw counts and accumulation order — without ever paying
 kernels (:mod:`repro.powerflow.batch`).  Topology-changing perturbations
 (:class:`BranchOutage`, :class:`GeneratorOutage`) keep
 ``injection_only = False`` and take the per-scenario path.
+
+Realizing an injection-only scenario edits load records only, through
+:meth:`~repro.grid.network.Network.touch_loads` and the load editors, so
+the realized copy keeps the base's admittances: a scalar solve of it
+(a cold watch tick, a scalar fallback row) builds no ``Ybus``.
 """
 
 from __future__ import annotations
@@ -166,15 +171,19 @@ class PerBusLoadScale(Perturbation):
     injection_only: ClassVar[bool] = True
 
     def apply(self, net: Network) -> None:
+        # One pass over the loads indexes them by bus, in list order.
+        at_bus: dict[int, list] = {}
+        for ld in net.loads:
+            at_bus.setdefault(ld.bus, []).append(ld)
         for bus, factor in self.factors:
             if not 0 <= bus < net.n_bus:
                 raise ScenarioError(f"bus {bus} does not exist in {net.name!r}")
             if factor < 0:
                 raise ScenarioError(f"bus {bus}: scale factor must be >= 0")
-            for ld in net.loads_at_bus(bus):
+            for ld in at_bus.get(bus, ()):
                 ld.pd_mw *= factor
                 ld.qd_mvar *= factor
-        net.touch()
+        net.touch_loads()
 
     def apply_to_loads(self, net: Network, loads: LoadVector) -> None:
         for bus, factor in self.factors:
@@ -213,7 +222,7 @@ class GaussianLoadNoise(Perturbation):
         for ld, f in zip(net.loads, factors):
             ld.pd_mw *= f
             ld.qd_mvar *= f
-        net.touch()
+        net.touch_loads()
 
     def apply_to_loads(self, net: Network, loads: LoadVector) -> None:
         if self.sigma < 0:
@@ -259,7 +268,7 @@ class ZonalLoadScale(Perturbation):
             f = self.factors[net.zone_index(ld.bus, z)]
             ld.pd_mw *= f
             ld.qd_mvar *= f
-        net.touch()
+        net.touch_loads()
 
     def apply_to_loads(self, net: Network, loads: LoadVector) -> None:
         z = len(self.factors)
@@ -358,7 +367,13 @@ class Scenario:
     tags: dict = field(default_factory=dict)
 
     def realize(self, base: Network) -> Network:
-        """Apply the perturbations to a fresh copy of ``base``."""
+        """Apply the perturbations to a fresh copy of ``base``.
+
+        An injection-only scenario's copy keeps the base's admittances,
+        built here once per base version if they are not yet.
+        """
+        if self.perturbations and self.injection_only:
+            base.admittances()
         net = base.copy()
         for pert in self.perturbations:
             try:

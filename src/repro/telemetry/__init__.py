@@ -6,7 +6,7 @@ grid rather than running one-shot studies):
 * :mod:`repro.telemetry.fleet` — :class:`DeviceFleet`, a deterministic
   simulated meter/DER population with per-device child seeds (any prefix
   of the feed is reproducible at any fleet size) and injectable
-  anomalies,
+  anomalies; each tick is drawn in bulk as one :class:`FrameBatch`,
 * :mod:`repro.telemetry.feed` — :class:`TelemetryStream`, the adapter
   from timestamped frames to the :class:`~repro.scenarios.stream
   .ScenarioStream` contract, with simulated or wall-clock pacing,
@@ -42,8 +42,10 @@ from .fleet import (
     AnomalySpec,
     DeviceFleet,
     FleetSpec,
+    FrameBatch,
     TelemetryFrame,
     device_seed,
+    frame_normals,
     frame_seed,
 )
 from .watch import WatchRequest, run_watch
@@ -65,6 +67,7 @@ __all__ = [
     "AnomalySpec",
     "DeviceFleet",
     "FleetSpec",
+    "FrameBatch",
     "RollingWindowStudy",
     "TelemetryFrame",
     "TelemetryStream",
@@ -72,6 +75,7 @@ __all__ = [
     "WindowResult",
     "WindowSpec",
     "device_seed",
+    "frame_normals",
     "frame_seed",
     "run_watch",
     "telemetry_rules",

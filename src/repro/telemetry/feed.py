@@ -23,7 +23,7 @@ import time
 
 from ..scenarios.spec import PerBusLoadScale, Scenario
 from ..scenarios.stream import ScenarioStream
-from .fleet import DeviceFleet, TelemetryFrame
+from .fleet import DeviceFleet, FrameBatch
 
 PACE_SIMULATED = "simulated"
 PACE_WALL = "wall"
@@ -75,15 +75,14 @@ class TelemetryStream:
             time.sleep(self.fleet.spec.interval_s / self.speedup)
 
     def tick_batches(self):
-        """Yield ``(tick, frames)`` in time order, pacing applied."""
+        """Yield ``(tick, batch)`` in time order, pacing applied; each
+        batch is the tick's :class:`~repro.telemetry.fleet.FrameBatch`."""
         for tick in range(self.start_tick, self.start_tick + self.n_ticks):
             self._pace_tick()
-            yield tick, self.fleet.frames_for_tick(tick)
+            yield tick, self.fleet.draw(tick)
 
     # ------------------------------------------------------------------
-    def scenario_for_tick(
-        self, tick: int, frames: list[TelemetryFrame] | None = None
-    ) -> Scenario:
+    def scenario_for_tick(self, tick: int, batch: FrameBatch | None = None) -> Scenario:
         """One tick's operating point as a plain :class:`Scenario`.
 
         Pure in ``tick``: re-deriving the scenario (on stream
@@ -91,9 +90,9 @@ class TelemetryStream:
         same perturbation and tags.
         """
         fleet = self.fleet
-        if frames is None:
-            frames = fleet.frames_for_tick(tick)
-        factors = fleet.tick_bus_factors(tick, frames)
+        if batch is None:
+            batch = fleet.draw(tick)
+        factors = fleet.tick_bus_factors(tick, batch)
         # The feeder whose load deviates most from nominal this tick —
         # the telemetry analogue of the zonal generators' hot_zone tag.
         deviation: dict[str, list[float]] = {}
@@ -107,10 +106,11 @@ class TelemetryStream:
                 key=lambda z: sum(deviation[z]) / len(deviation[z]),
             )
         n_expected = fleet.n_devices
+        n_frames = batch.n_frames
         # A frame is absent only under a dropout, which leaves no frame
         # to carry its label: the missing frames are the flag.
-        labels = {f.anomaly for f in frames if f.anomaly}
-        if len(frames) < n_expected:
+        labels = {label for label in batch.anomalies() if label}
+        if n_frames < n_expected:
             labels.add("dropout")
         tags = {
             "family": self.family,
@@ -118,8 +118,8 @@ class TelemetryStream:
             "hour_of_day": int(fleet.hour_at(tick)),
             "feeder": hot_feeder,
             "anomaly": ",".join(sorted(labels)) if labels else "none",
-            "n_frames": len(frames),
-            "n_dropped": n_expected - len(frames),
+            "n_frames": n_frames,
+            "n_dropped": n_expected - n_frames,
         }
         return Scenario(
             name=f"{self.family}_{tick:06d}",
@@ -131,7 +131,7 @@ class TelemetryStream:
         """The feed as a lazy, re-iterable scenario ensemble."""
 
         def factory():
-            for tick, frames in self.tick_batches():
-                yield self.scenario_for_tick(tick, frames)
+            for tick, batch in self.tick_batches():
+                yield self.scenario_for_tick(tick, batch)
 
         return ScenarioStream(factory, length=self.n_ticks, family=self.family)

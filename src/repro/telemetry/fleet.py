@@ -7,7 +7,9 @@ discipline the scenario engine uses: every device draws its static
 attributes (bus, kind, nameplate) from a per-device seed derived exactly
 like :func:`~repro.scenarios.stream.child_seed` derives per-scenario
 seeds, and every frame draws its noise from a per-(device, tick) child of
-that seed.  Two consequences fall out by construction:
+that seed: the first two ``standard_normal()`` draws of
+``np.random.default_rng(frame_seed(...))``.  Two consequences fall out by
+construction:
 
 * **prefix stability** — device ``i`` emits the identical frame stream
   whether the fleet has a thousand devices or a million, because nothing
@@ -21,12 +23,22 @@ profile uses (trough near 04:00, peak near 16:00); DER output follows a
 daylight bell.  Anomalies are *injected*, never drawn: an
 :class:`AnomalySpec` names a tick range and optional feeder, and the
 affected frames are flagged so detection can be asserted end to end.
+
+A tick is drawn in bulk (:meth:`DeviceFleet.draw`): numpy's seed hashing
+runs once over the tick's frame seeds as uint32 arrays
+(:func:`frame_normals`), each frame's two normals come from one reused
+generator set to that frame's PCG64 state, and noise, load, voltage and
+the per-bus factors are array arithmetic in device order.  Every
+operation is the one a per-frame ``default_rng`` and float loop would
+do, so the frames are the same bits; single-frame reads
+(:meth:`DeviceFleet.frame`) draw through the same path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +71,86 @@ def frame_seed(dev_seed: int, tick: int) -> int:
     """Per-(device, tick) seed: any frame is computable in isolation."""
     digest = hashlib.blake2b(f"{dev_seed}\x1f{tick}".encode(), digest_size=8).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words hashed from the entropy words, then ``generate_state``.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed.
+
+    ``seeds`` is a uint32 array; a seed below 2**32 is one entropy word,
+    so the pool's other three words hash zeros.  Returns the four uint64
+    words as columns.
+    """
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros_like(seeds)
+    pool = [hashmix(seeds)] + [hashmix(zeros) for _ in range(_POOL_SIZE - 1)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * u32(hash_const)
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Each uint64 is two uint32 words read little-endian.
+    return [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
+
+
+def frame_normals(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The first two ``standard_normal()`` draws of
+    ``np.random.default_rng(s)`` for every seed ``s`` in ``[0, 2**32)``,
+    as an ``(n, 2)`` array.
+
+    The seed hashing is vectorised (:func:`_seed_words`); PCG64's
+    seeding (``inc = initseq << 1 | 1``; step; add ``initstate``; step)
+    is two multiply-adds on Python ints; and one generator, set to each
+    row's state through its public ``bit_generator.state``, draws the
+    row's pair.  The generator is local to the call, so concurrent
+    watches never share one.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    out = np.empty((seeds.size, 2))
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    pcg = state["state"]
+    draw = gen.standard_normal
+    words = (w.tolist() for w in _seed_words(seeds))
+    for row, s_hi, s_lo, i_hi, i_lo in zip(out, *words):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bitgen.state = state
+        draw(out=row)
+    return out
 
 
 def diurnal_factor(hour: float, *, peak: float, trough: float) -> float:
@@ -106,10 +198,8 @@ class AnomalySpec:
         if self.magnitude <= 0:
             raise ValueError(f"magnitude must be > 0, got {self.magnitude}")
 
-    def covers(self, tick: int, feeder: str) -> bool:
-        if not self.start_tick <= tick < self.start_tick + self.duration_ticks:
-            return False
-        return self.feeder is None or self.feeder == feeder
+    def active(self, tick: int) -> bool:
+        return self.start_tick <= tick < self.start_tick + self.duration_ticks
 
     def to_dict(self) -> dict:
         return {
@@ -193,13 +283,73 @@ class _Device:
     seed: int
 
 
+@dataclass(frozen=True, eq=False)
+class FrameBatch:
+    """One tick's frames as arrays in device order.
+
+    Rows are the devices that reported: a dropout leaves its devices
+    out.  ``anomaly_index`` holds each row's anomaly as a position in the
+    fleet spec's ``anomalies`` (-1 for none).
+    """
+
+    fleet: DeviceFleet
+    tick: int
+    device_ids: np.ndarray
+    load_mw: np.ndarray
+    voltage_pu: np.ndarray
+    anomaly_index: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return int(self.device_ids.size)
+
+    def kinds(self) -> list[str]:
+        """Each row's device kind."""
+        meter = self.fleet._meter[self.device_ids]
+        return [METER if m else DER for m in meter.tolist()]
+
+    def anomalies(self) -> list[str]:
+        """Each row's anomaly kind (``""`` when unaffected)."""
+        labels = [a.kind for a in self.fleet.spec.anomalies] + [""]
+        return [labels[k] for k in self.anomaly_index.tolist()]
+
+    def frames(self) -> list[TelemetryFrame]:
+        """The rows as :class:`TelemetryFrame` records."""
+        devices = self.fleet.devices
+        tick = self.tick
+        ts = tick * self.fleet.spec.interval_s
+        out = []
+        for device_id, load, voltage, label in zip(
+            self.device_ids.tolist(),
+            self.load_mw.tolist(),
+            self.voltage_pu.tolist(),
+            self.anomalies(),
+        ):
+            device = devices[device_id]
+            out.append(
+                TelemetryFrame(
+                    device_id=device_id,
+                    bus=device.bus,
+                    feeder=device.feeder,
+                    kind=device.kind,
+                    tick=tick,
+                    ts=ts,
+                    load_mw=load,
+                    voltage_pu=voltage,
+                    anomaly=label,
+                )
+            )
+        return out
+
+
 class DeviceFleet:
     """The fleet: device attribute table plus the frame model.
 
-    Construction is O(n_devices) (one small RNG draw per device); frame
-    generation is O(1) per frame with no cross-device or cross-tick
-    state, which is what makes the prefix-stability and random-access
-    guarantees in the module docstring hold.
+    Construction is O(n_devices) (one small RNG draw per device); a
+    frame costs O(1) with no cross-device or cross-tick state, which is
+    what makes the prefix-stability and random-access guarantees in the
+    module docstring hold.  :meth:`draw` is the frame model; every other
+    frame accessor reads it.
     """
 
     def __init__(self, net: Network, spec: FleetSpec) -> None:
@@ -208,7 +358,13 @@ class DeviceFleet:
         self.spec = spec
         self.n_bus = net.n_bus
         self._zones = net.bus_zones(DEFAULT_ZONE_BANDS)
-        self._devices = [self._make_device(i) for i in range(spec.n_devices)]
+        devices = [self._make_device(i) for i in range(spec.n_devices)]
+        self._devices = devices
+        # The device table as arrays, for whole-tick draws.
+        self._bus = np.array([d.bus for d in devices], dtype=np.int64)
+        self._meter = np.array([d.kind == METER for d in devices], dtype=bool)
+        self._base_mw = np.array([d.base_mw for d in devices], dtype=float)
+        self._feeder = np.array([d.feeder for d in devices])
 
     def _make_device(self, device_id: int) -> _Device:
         seed = device_seed(self.spec.seed, device_id)
@@ -242,11 +398,53 @@ class DeviceFleet:
         return (tick * self.spec.interval_s / 3600.0) % 24.0
 
     # ------------------------------------------------------------------
-    def _anomaly_for(self, device: _Device, tick: int) -> AnomalySpec | None:
-        for spec in self.spec.anomalies:
-            if spec.covers(tick, device.feeder):
-                return spec
-        return None
+    def draw(self, tick: int, device_ids: Sequence[int] | None = None) -> FrameBatch:
+        """Every frame at ``tick`` (of ``device_ids`` only, if given), in
+        device order: the frame model.
+
+        Each device takes the first anomaly in the spec that covers it;
+        a dropout emits no frame.  A frame's noise and voltage jitter are
+        the first two normals of ``default_rng(frame_seed(seed, tick))``
+        (:func:`frame_normals`); load is nominal draw times the diurnal
+        shape (meters) or minus nameplate times the daylight bell (DERs),
+        times ``max(0, 1 + sigma * noise)``.
+        """
+        spec = self.spec
+        ids = (
+            np.arange(self.n_devices)
+            if device_ids is None
+            else np.asarray(device_ids, dtype=np.int64)
+        )
+        which = np.full(ids.size, -1)
+        for k, anomaly in enumerate(spec.anomalies):
+            if anomaly.active(tick):
+                hit = which < 0
+                if anomaly.feeder is not None:
+                    hit &= self._feeder[ids] == anomaly.feeder
+                which[hit] = k
+        dropped = [k for k, a in enumerate(spec.anomalies) if a.kind == "dropout"]
+        if dropped:
+            keep = ~np.isin(which, dropped)
+            ids, which = ids[keep], which[keep]
+        devices = self._devices
+        z = frame_normals([frame_seed(devices[i].seed, tick) for i in ids.tolist()])
+        hour = self.hour_at(tick)
+        shape = diurnal_factor(hour, peak=spec.peak, trough=spec.trough)
+        noise = 1.0 + spec.sigma * z[:, 0]
+        noise = np.where(noise > 0.0, noise, 0.0)  # max(0.0, noise)
+        base = self._base_mw[ids]
+        load = np.where(self._meter[ids], base * shape, -base * solar_factor(hour)) * noise
+        # Voltage dips with system stress: highest at the diurnal trough,
+        # ~2% lower at peak, plus small measurement noise.
+        stress = (shape - spec.trough) / max(spec.peak - spec.trough, 1e-9)
+        voltage = 1.0 - 0.02 * stress + 0.003 * z[:, 1]
+        for k, anomaly in enumerate(spec.anomalies):
+            hit = which == k
+            if anomaly.kind == "load_spike":
+                load[hit] *= anomaly.magnitude
+            elif anomaly.kind == "voltage_sag":
+                voltage[hit] *= 1.0 - 0.05 * anomaly.magnitude
+        return FrameBatch(self, tick, ids, load, voltage, which)
 
     def frame(self, device_id: int, tick: int) -> TelemetryFrame | None:
         """The frame device ``device_id`` emits at ``tick``.
@@ -254,56 +452,16 @@ class DeviceFleet:
         ``None`` means the device emitted nothing (a dropout anomaly) —
         absence is part of the model, not an error.
         """
-        device = self._devices[device_id]
-        anomaly = self._anomaly_for(device, tick)
-        if anomaly is not None and anomaly.kind == "dropout":
-            return None
-        spec = self.spec
-        rng = np.random.default_rng(frame_seed(device.seed, tick))
-        hour = self.hour_at(tick)
-        noise = max(0.0, 1.0 + spec.sigma * float(rng.standard_normal()))
-        if device.kind == METER:
-            shape = diurnal_factor(hour, peak=spec.peak, trough=spec.trough)
-            load = device.base_mw * shape * noise
-        else:
-            load = -device.base_mw * solar_factor(hour) * noise
-        # Voltage dips with system stress: highest at the diurnal trough,
-        # ~2% lower at peak, plus small measurement noise.
-        stress = (
-            diurnal_factor(hour, peak=spec.peak, trough=spec.trough) - spec.trough
-        ) / max(spec.peak - spec.trough, 1e-9)
-        voltage = 1.0 - 0.02 * stress + 0.003 * float(rng.standard_normal())
-        label = ""
-        if anomaly is not None:
-            label = anomaly.kind
-            if anomaly.kind == "load_spike":
-                load *= anomaly.magnitude
-            elif anomaly.kind == "voltage_sag":
-                voltage *= 1.0 - 0.05 * anomaly.magnitude
-        return TelemetryFrame(
-            device_id=device.device_id,
-            bus=device.bus,
-            feeder=device.feeder,
-            kind=device.kind,
-            tick=tick,
-            ts=tick * spec.interval_s,
-            load_mw=load,
-            voltage_pu=voltage,
-            anomaly=label,
-        )
+        frames = self.draw(tick, [self._devices[device_id].device_id]).frames()
+        return frames[0] if frames else None
 
     def frames_for_tick(self, tick: int) -> list[TelemetryFrame]:
         """All frames at one tick, in device order (dropouts omitted)."""
-        frames = []
-        for device_id in range(self.n_devices):
-            frame = self.frame(device_id, tick)
-            if frame is not None:
-                frames.append(frame)
-        return frames
+        return self.draw(tick).frames()
 
     # ------------------------------------------------------------------
     def tick_bus_factors(
-        self, tick: int, frames: list[TelemetryFrame] | None = None
+        self, tick: int, frames: FrameBatch | list[TelemetryFrame] | None = None
     ) -> dict[int, float]:
         """Per-bus net load factor this tick, relative to meter nominal.
 
@@ -315,24 +473,28 @@ class DeviceFleet:
         adapter).  Buses with no reporting meter are omitted, so their
         case loads stay untouched: a dropout hides a bus's draw rather
         than zeroing it, and a partial dropout rescales the bus by the
-        meters still reporting.  On a tick where every device reports,
-        each base sums the same meters in the same order, so the factors
-        are those of the full fleet bit for bit.
+        meters still reporting.  Both sums run over the frames in the
+        order given (device order for a drawn tick), so on a tick where
+        every device reports the factors are those of the full fleet bit
+        for bit.
         """
         if frames is None:
-            frames = self.frames_for_tick(tick)
-        devices = self._devices
-        base: dict[int, float] = {}
-        for frame in frames:
-            if frame.kind == METER:
-                base[frame.bus] = (
-                    base.get(frame.bus, 0.0) + devices[frame.device_id].base_mw
-                )
-        actual: dict[int, float] = {}
-        for frame in frames:
-            if frame.bus in base:
-                actual[frame.bus] = actual.get(frame.bus, 0.0) + frame.load_mw
-        return {
-            bus: max(0.0, actual.get(bus, 0.0) / base_mw)
-            for bus, base_mw in sorted(base.items())
-        }
+            frames = self.draw(tick)
+        if isinstance(frames, FrameBatch):
+            ids, load = frames.device_ids, frames.load_mw
+        else:
+            ids = np.array([f.device_id for f in frames], dtype=np.int64)
+            load = np.array([f.load_mw for f in frames], dtype=float)
+        meters = ids[self._meter[ids]]
+        base = np.zeros(self.n_bus)
+        np.add.at(base, self._bus[meters], self._base_mw[meters])
+        metered = np.zeros(self.n_bus, dtype=bool)
+        metered[self._bus[meters]] = True
+        at = self._bus[ids]
+        live = metered[at]
+        actual = np.zeros(self.n_bus)
+        np.add.at(actual, at[live], load[live])
+        buses = np.flatnonzero(metered)
+        ratio = actual[buses] / base[buses]
+        factors = np.where(ratio > 0.0, ratio, 0.0)  # max(0.0, ratio)
+        return dict(zip(buses.tolist(), factors.tolist()))

@@ -190,12 +190,12 @@ def run_watch(
     drawn: dict[int, tuple[Counter, Counter]] = {}
 
     def feed():
-        for tick, frames in stream.tick_batches():
+        for tick, batch in stream.tick_batches():
             drawn[tick] = (
-                Counter(f.kind for f in frames),
-                Counter(f.anomaly for f in frames if f.anomaly),
+                Counter(batch.kinds()),
+                Counter(label for label in batch.anomalies() if label),
             )
-            yield stream.scenario_for_tick(tick, frames)
+            yield stream.scenario_for_tick(tick, batch)
 
     ticks = ScenarioStream(feed, length=n_ticks, family=stream.family)
 

@@ -329,9 +329,13 @@ class TestCaches:
         _, adm1 = make_admittances(case14)
         _, adm2 = make_admittances(case14)
         assert adm2 is adm1
-        case14.set_load(2, 30.0)  # touch() invalidates the memo
+        case14.set_load(2, 30.0)  # a load edit keeps the admittances
         _, adm3 = make_admittances(case14)
-        assert adm3 is not adm1
+        assert adm3 is adm1
+        case14.buses[2].bs_mvar += 5.0
+        case14.touch()  # any other edit invalidates the memo
+        _, adm4 = make_admittances(case14)
+        assert adm4 is not adm1
 
     def test_ac_kernel_shared_across_load_levels(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="powerflow"))

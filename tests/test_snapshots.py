@@ -1,11 +1,14 @@
-"""Outage snapshots derived from the base, and the generation plan.
+"""Outage snapshots derived from the base, kept admittances, and the
+generation plan.
 
 A network whose compiled arrays and admittances are both current derives
 a one-branch outage's snapshot from them instead of rebuilding it (see
 ``Network.admittances`` and ``grid.ybus.outage_admittances``).  These
 tests hold the derivation to *bit* equality with a rebuild on a fresh
-copy, check that it engages on a scalar N-1 sweep, and hold the planned
-generator allocation to bit equality with the per-bus loop it replaced.
+copy, check that it engages on a scalar N-1 sweep, hold a load-only
+edit's kept admittances (and an injection-only scenario's realized copy)
+to the same equality, and hold the planned generator allocation to bit
+equality with the per-bus loop it replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ from repro.powerflow.solution import (
     _allocate_generation,
     generation_plan,
     make_admittances,
+)
+from repro.scenarios.spec import (
+    BranchOutage,
+    GaussianLoadNoise,
+    PerBusLoadScale,
+    RenewableInjection,
+    Scenario,
+    UniformLoadScale,
+    ZonalLoadScale,
 )
 
 
@@ -189,6 +201,7 @@ def test_scalar_sweep_builds_admittances_once(monkeypatch):
     """analyze_single_outage over every ieee30 branch on one copy: one full
     build (the base), every outage derived and every restore reused."""
     net = load_case("ieee30")
+    net.touch()  # drop the admittances the copy carries from the case
     bridges = gridgraph.bridge_branches(net)
     builds = []
     real = ybus.build_admittances
@@ -202,6 +215,88 @@ def test_scalar_sweep_builds_admittances_once(monkeypatch):
     assert len(outcomes) == net.n_branch
     assert sum(o.converged for o in outcomes) > net.n_branch // 2
     assert len(builds) == 1
+
+
+# ----------------------------------------------------------------------
+# load-only edits keep the admittances
+# ----------------------------------------------------------------------
+
+_INJECTION_ONLY = {
+    "uniform": (UniformLoadScale(1.07),),
+    "per_bus": (PerBusLoadScale(((1, 1.2), (3, 0.8), (1, 0.9))),),
+    "gaussian": (GaussianLoadNoise(0.05, seed=3),),
+    "zonal": (ZonalLoadScale((0.9, 1.1, 1.05)),),
+    "renewable": (RenewableInjection(2, 12.0, 1.5), GaussianLoadNoise(0.02, seed=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INJECTION_ONLY))
+@pytest.mark.parametrize("case", sorted(_NETS))
+def test_injection_only_realize_keeps_the_base_admittances(case, name):
+    """The realized copy solves on the base's own (Ybus, Yf, Yt), and
+    they are a fresh build's bits; its arrays match a rebuild too."""
+    base = _NETS[case]()
+    net = Scenario(name, _INJECTION_ONLY[name]).realize(base)
+    assert net.admittances() is base.admittances()
+    _assert_admittances_bitwise(net.admittances(), ybus.build_admittances(net.compile()))
+    _assert_matches_rebuild(net)
+
+
+@pytest.mark.parametrize("materialise", [False, True])
+@pytest.mark.parametrize("edit", ["outage", "shunt", "scenario"])
+def test_other_edits_after_a_load_edit_rebuild(case14, edit, materialise):
+    """A topology or shunt edit after a load edit drops the kept
+    admittances, whether or not the load edit's arrays were compiled."""
+    base_adm = case14.admittances()
+    case14.scale_loads(1.1)
+    if materialise:
+        make_admittances(case14)
+    assert case14.admittances() is base_adm
+    if edit == "outage":
+        case14.set_branch_status(3, False)
+    elif edit == "shunt":
+        case14.buses[4].bs_mvar += 10.0
+        case14.touch()
+    else:
+        case14 = Scenario("mixed", (UniformLoadScale(0.9), BranchOutage(3))).realize(
+            case14
+        )
+    assert case14.admittances() is not base_adm
+    _assert_matches_rebuild(case14)
+
+
+def test_load_edit_still_moves_the_digest_and_load_table(case14):
+    case14.admittances()
+    digest, table = case14.content_hash(), case14.load_table()
+    case14.set_load(4, 55.0)
+    assert case14.content_hash() != digest
+    assert case14.load_table()[1].tobytes() != table[1].tobytes()
+    case14.add_load(6, pd_mw=3.0)
+    assert len(case14.load_table()[0]) == len(table[0]) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(0, 4), st.floats(0.0, 3.0, allow_nan=False)),
+        min_size=1, max_size=8,
+    )
+)
+def test_per_bus_scale_matches_the_per_bus_scan(factors):
+    """One bus index per call multiplies every load exactly as one
+    ``loads_at_bus`` scan per factor did, repeated buses included."""
+    base = _hand_built()
+    base.add_load(1, pd_mw=7.0, qd_mvar=2.0)  # a second load on bus 1
+    want = base.copy()
+    for bus, factor in factors:
+        for ld in want.loads_at_bus(bus):
+            ld.pd_mw *= factor
+            ld.qd_mvar *= factor
+    got = base.copy()
+    PerBusLoadScale(tuple(factors)).apply(got)
+    assert [(ld.pd_mw, ld.qd_mvar) for ld in got.loads] == [
+        (ld.pd_mw, ld.qd_mvar) for ld in want.loads
+    ]
 
 
 # ----------------------------------------------------------------------
